@@ -1,24 +1,9 @@
 //! The perf-bench harness for the simulator itself.
 //!
-//! Two kinds of content live here:
-//!
-//! * [`sizes`] — shared problem sizes for the Criterion targets in
-//!   `benches/` (one group per reproduced table/figure);
-//! * [`harness`] — the `BENCH_simx86.json` trajectory: memory-system
-//!   accesses/sec microbenchmarks plus end-to-end sweep wall times,
-//!   emitted by the `simx86-bench` binary and checked by CI's perf-smoke
-//!   job against the committed baseline.
-
-/// Problem sizes used by the benchmark harness: small enough to iterate,
-/// large enough to leave the caches of the simulated platforms.
-pub mod sizes {
-    /// Vector length for streaming benches.
-    pub const STREAM_N: u64 = 1 << 18;
-    /// Matrix dimension for dgemm benches.
-    pub const GEMM_N: u64 = 128;
-    /// Transform size for FFT/WHT benches.
-    pub const FFT_N: u64 = 1 << 14;
-}
+//! [`harness`] produces the `BENCH_simx86.json` trajectory:
+//! memory-system accesses/sec microbenchmarks plus end-to-end sweep wall
+//! times, emitted by the `simx86-bench` binary and checked by CI's
+//! perf-smoke job against the committed baseline.
 
 pub mod harness {
     //! Measurement bodies and the JSON trajectory format.
@@ -60,7 +45,7 @@ pub mod harness {
     pub struct SweepResult {
         /// Fidelity the sweep ran at.
         pub fidelity: &'static str,
-        /// Wall-clock milliseconds for the 18-experiment serial sweep.
+        /// Wall-clock milliseconds for the 19-experiment serial sweep.
         pub wall_ms: u64,
         /// Experiments run.
         pub experiments: usize,
@@ -246,7 +231,7 @@ pub mod harness {
         ]
     }
 
-    /// Runs the full 18-experiment sweep in-process at the given fidelity
+    /// Runs the full 19-experiment sweep in-process at the given fidelity
     /// on one worker without writing artifacts, timing pure simulation.
     ///
     /// # Panics

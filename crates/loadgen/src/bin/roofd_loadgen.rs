@@ -38,7 +38,7 @@
 //! the report). CI's service-fleet job runs with both.
 
 use roofline_loadgen::{run_workload, Report, TenantSpec, WorkloadConfig};
-use roofline_service::auth::{AuthConfig, QuotaConfig};
+use roofline_service::auth::{AuthConfig, QuotaConfig, ANON_TENANT, FLEET_TENANT};
 use roofline_service::engine::{Engine, EngineConfig};
 use roofline_service::fleet::FleetConfig;
 use roofline_service::server::{Server, ServerConfig, ShutdownHandle};
@@ -83,6 +83,9 @@ fn parse_tenants(spec: &str) -> Result<Vec<TenantSpec>, String> {
             .ok_or(format!("tenant `{part}` is not `token:name` (or `anon`)"))?;
         if token.is_empty() || name.is_empty() {
             return Err(format!("tenant `{part}` has an empty token or name"));
+        }
+        if name == ANON_TENANT || name == FLEET_TENANT {
+            return Err(format!("tenant `{part}`: the name `{name}` is reserved"));
         }
         tenants.push(TenantSpec {
             token: Some(token.to_string()),
@@ -629,6 +632,23 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_tenants_accepts_lanes_and_refuses_reserved_names() {
+        let lanes = parse_tenants("tok-a:team-a, anon").expect("valid lanes");
+        assert_eq!(lanes.len(), 2);
+        assert_eq!(lanes[0].token.as_deref(), Some("tok-a"));
+        assert_eq!(lanes[1].token, None);
+        assert_eq!(lanes[1].name, "anon");
+        for bad in ["tok:anon", "tok:fleet", "tok-a", ":team-a", ""] {
+            assert!(parse_tenants(bad).is_err(), "`{bad}` must be refused");
         }
     }
 }

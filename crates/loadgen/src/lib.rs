@@ -21,7 +21,7 @@
 
 use experiments::platforms::Fidelity;
 use experiments::registry::Experiment;
-use roofline_service::client::{run_with_retries_opt, Client, ClientError, RetryPolicy, RunOpts};
+use roofline_service::client::{run_with_retries, Client, ClientError, RetryPolicy, RunOpts};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -314,16 +314,17 @@ pub fn run_workload(cfg: &WorkloadConfig) -> FleetReport {
             for _ in 0..cfg.requests_per_client {
                 let experiment = Experiment::ALL[zipf.sample(&mut rng)];
                 let opts = RunOpts {
-                    experiment,
-                    platform: "snb".to_string(),
-                    fidelity: Fidelity::Quick,
-                    peer: false,
-                    fleet_token: None,
                     token: tenant.token.clone(),
+                    ..RunOpts::new(experiment, "snb", Fidelity::Quick)
                 };
                 let start = Instant::now();
-                let mut result =
-                    run_with_retries_opt(cfg.addrs[addr_idx].as_str(), &opts, &policy, Some(cfg.timeout));
+                let mut result = run_with_retries(
+                    cfg.addrs[addr_idx].as_str(),
+                    &opts,
+                    &policy,
+                    Some(cfg.timeout),
+                    None,
+                );
                 // A dead pinned node must cost latency, not correctness:
                 // on a socket-level failure rotate through the other
                 // nodes and stick with the first one that answers, so a
@@ -331,11 +332,12 @@ pub fn run_workload(cfg: &WorkloadConfig) -> FleetReport {
                 let mut rotations = 1;
                 while matches!(result, Err(ClientError::Io(_))) && rotations < cfg.addrs.len() {
                     addr_idx = (addr_idx + 1) % cfg.addrs.len();
-                    result = run_with_retries_opt(
+                    result = run_with_retries(
                         cfg.addrs[addr_idx].as_str(),
                         &opts,
                         &policy,
                         Some(cfg.timeout),
+                        None,
                     );
                     rotations += 1;
                 }

@@ -43,11 +43,13 @@ use std::time::Instant;
 /// The tenant every unauthenticated connection runs as.
 pub const ANON_TENANT: &str = "anon";
 
-/// The label verified fleet-internal peer fetches are accounted under.
-/// Peer traffic is exempt from quota charging (the ingress node already
-/// charged the originating tenant), so folding it into [`ANON_TENANT`]
-/// would inflate the anonymous tenant's served counter and muddy the
-/// per-tenant fairness observables; it gets its own ledger line instead.
+/// The tenant a `run` with a valid fleet token — a fleet-internal peer
+/// fetch — is submitted as; the engine keys the quota exemption and the
+/// no-forward rule on this name. Peer traffic is exempt from quota
+/// charging (the ingress node already charged the originating tenant),
+/// so folding it into [`ANON_TENANT`] would inflate the anonymous
+/// tenant's served counter and muddy the per-tenant fairness
+/// observables; it gets its own ledger line instead.
 pub const FLEET_TENANT: &str = "fleet";
 
 /// Default fair-share weight of the anonymous tenant — a narrow share,
@@ -203,13 +205,19 @@ impl AuthConfig {
     ///
     /// # Panics
     ///
-    /// On a non-positive or non-finite weight — the same inputs
+    /// On a non-positive or non-finite weight or a reserved tenant name
+    /// ([`ANON_TENANT`], [`FLEET_TENANT`]) — the same inputs
     /// [`AuthConfig::parse`] rejects, enforced here too so the test hook
-    /// cannot smuggle in a tenant whose token bucket never refills.
+    /// cannot smuggle in a tenant whose token bucket never refills, or
+    /// one that rides the fleet's quota exemption.
     pub fn with_token(mut self, token: &str, tenant: &str, weight: f64) -> AuthConfig {
         assert!(
             weight.is_finite() && weight > 0.0,
             "tenant `{tenant}` needs a positive weight, got {weight}"
+        );
+        assert!(
+            tenant != ANON_TENANT && tenant != FLEET_TENANT,
+            "tenant name `{tenant}` is reserved"
         );
         self.tokens.insert(
             token.to_string(),
@@ -477,6 +485,15 @@ mod tests {
     #[should_panic(expected = "positive weight")]
     fn with_token_refuses_zero_weight() {
         let _ = AuthConfig::default().with_token("tok", "team-x", 0.0);
+    }
+
+    #[test]
+    fn with_token_refuses_reserved_tenant_names() {
+        for reserved in [ANON_TENANT, FLEET_TENANT] {
+            let refused =
+                std::panic::catch_unwind(|| AuthConfig::default().with_token("tok", reserved, 1.0));
+            assert!(refused.is_err(), "`{reserved}` must be refused");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!         [--retry-base-ms N] [--retry-seed N] [--timeout-ms N] <command>
 //!
 //! commands:
-//!   run -e <E1..E18> [-p SPEC] [-f quick|full] [--out DIR]   request one analysis
+//!   run -e <E1..E19> [-p SPEC] [-f quick|full] [--out DIR]   request one analysis
 //!   list [-f quick|full]        print the experiment registry (no server needed)
 //!   stats                       print the server's counters
 //!   purge                       drop the server's memory and disk caches
@@ -46,7 +46,8 @@
 
 use experiments::platforms::{platform_names, try_config_by_name, Fidelity};
 use experiments::registry::{registry_table, Experiment};
-use roofline_service::client::{run_with_retries_opt, Client, RetryPolicy, RunOpts};
+use roofline_service::cli::{int, positive, value};
+use roofline_service::client::{run_with_retries, Client, RetryPolicy, RunOpts};
 use roofline_service::DEFAULT_ADDR;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -108,10 +109,11 @@ fn parse_args() -> Result<Args, String> {
 
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
-        match arg.as_str() {
-            "--addr" | "-a" => addr = value("--addr")?,
-            "--token" | "-t" => token = Some(value("--token")?),
+        let it = &mut it;
+        let flag = arg.as_str();
+        match flag {
+            "--addr" | "-a" => addr = value(it, "--addr")?,
+            "--token" | "-t" => token = Some(value(it, "--token")?),
             "run" | "list" | "stats" | "purge" | "ping" | "join" | "leave" | "drain"
             | "shutdown"
                 if command.is_none() =>
@@ -119,54 +121,31 @@ fn parse_args() -> Result<Args, String> {
                 command = Some(arg);
             }
             "--fleet-secret" => {
-                let v = value("--fleet-secret")?;
+                let v = value(it, flag)?;
                 if v.is_empty() {
                     return Err("--fleet-secret must not be empty".to_string());
                 }
                 fleet_secret = Some(v);
             }
             "--experiment" | "-e" => {
-                let v = value("--experiment")?;
+                let v = value(it, "--experiment")?;
                 experiment = Some(v.parse().map_err(|e| format!("{e}"))?);
             }
-            "--platform" | "-p" => platform = value("--platform")?,
-            "--fidelity" | "-f" => fidelity = parse_fidelity(&value("--fidelity")?)?,
-            "--out" | "-o" => out_dir = Some(PathBuf::from(value("--out")?)),
-            "--retries" => {
-                let v = value("--retries")?;
-                retries = v
-                    .parse()
-                    .map_err(|_| format!("--retries needs an integer, got `{v}`"))?;
-            }
-            "--retry-base-ms" => {
-                let v = value("--retry-base-ms")?;
-                retry_base_ms = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or(format!("--retry-base-ms needs a positive integer, got `{v}`"))?;
-            }
-            "--retry-seed" => {
-                let v = value("--retry-seed")?;
-                retry_seed = v
-                    .parse()
-                    .map_err(|_| format!("--retry-seed needs an integer, got `{v}`"))?;
-            }
+            "--platform" | "-p" => platform = value(it, "--platform")?,
+            "--fidelity" | "-f" => fidelity = parse_fidelity(&value(it, "--fidelity")?)?,
+            "--out" | "-o" => out_dir = Some(PathBuf::from(value(it, "--out")?)),
+            "--retries" => retries = int(it, flag)?,
+            "--retry-base-ms" => retry_base_ms = positive(it, flag)?,
+            "--retry-seed" => retry_seed = int(it, flag)?,
             "--timeout-ms" => {
-                let v = value("--timeout-ms")?;
-                let ms: u64 = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or(format!("--timeout-ms needs a positive integer, got `{v}`"))?;
-                timeout = Some(Duration::from_millis(ms));
+                timeout = Some(Duration::from_millis(positive(it, flag)?))
             }
             "--help" | "-h" => {
                 println!(
                     "usage: roofctl [--addr HOST:PORT] [--token TOKEN] [--retries N]\n\
                      \x20              [--retry-base-ms N] [--retry-seed N] [--timeout-ms N]\n\
                      \x20              <run|list|stats|purge|ping|join|leave|drain|shutdown>\n\
-                     \x20 run -e E1..E18 [-p SPEC] [-f quick|full] [--out DIR]\n\
+                     \x20 run -e E1..E19 [-p SPEC] [-f quick|full] [--out DIR]\n\
                      \x20 list [-f quick|full]\n\
                      \x20 join HOST:PORT / leave HOST:PORT / drain  (need --fleet-secret or\n\
                      \x20   ROOFD_FLEET_SECRET, the secret the fleet's nodes were started with)\n\
@@ -189,7 +168,7 @@ fn parse_args() -> Result<Args, String> {
     }
     let command = match command.as_deref() {
         Some("run") => {
-            let experiment = experiment.ok_or("run needs --experiment <E1..E18>")?;
+            let experiment = experiment.ok_or("run needs --experiment <E1..E19>")?;
             // Validate the platform spec locally (same resolver the server
             // uses) so a typo fails here, with the valid list, instead of
             // after a round trip.
@@ -252,6 +231,12 @@ fn run(args: Args) -> Result<ExitCode, String> {
         }
         Ok(client)
     };
+    let secret = |what: &str| {
+        args.fleet_secret.as_deref().ok_or(format!(
+            "{what} needs --fleet-secret (or ROOFD_FLEET_SECRET): the secret the \
+             fleet's nodes were started with"
+        ))
+    };
     match args.command {
         Command::List { .. } => unreachable!("handled offline above"),
         Command::Ping => {
@@ -285,10 +270,7 @@ fn run(args: Args) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         Command::Join { ref peer } | Command::Leave { ref peer } => {
-            let secret = args.fleet_secret.as_deref().ok_or(
-                "join/leave need --fleet-secret (or ROOFD_FLEET_SECRET): the secret the \
-                 fleet's nodes were started with",
-            )?;
+            let secret = secret("join/leave")?;
             let mut client = connect(&args.addr)?;
             let (verb, reply) = if matches!(args.command, Command::Join { .. }) {
                 ("joined", client.join(secret, peer).map_err(|e| e.to_string())?)
@@ -305,11 +287,9 @@ fn run(args: Args) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         Command::Drain => {
-            let secret = args.fleet_secret.as_deref().ok_or(
-                "drain needs --fleet-secret (or ROOFD_FLEET_SECRET): the secret the \
-                 fleet's nodes were started with",
-            )?;
-            connect(&args.addr)?.drain(secret).map_err(|e| e.to_string())?;
+            connect(&args.addr)?
+                .drain(secret("drain")?)
+                .map_err(|e| e.to_string())?;
             println!(
                 "roofd at {} is draining: cache hits still serve, new computes are refused",
                 args.addr
@@ -334,14 +314,10 @@ fn run(args: Args) -> Result<ExitCode, String> {
                 seed: args.retry_seed,
             };
             let opts = RunOpts {
-                experiment,
-                platform: platform.clone(),
-                fidelity,
-                peer: false,
-                fleet_token: None,
                 token: args.token.clone(),
+                ..RunOpts::new(experiment, &platform, fidelity)
             };
-            let reply = run_with_retries_opt(args.addr.as_str(), &opts, &policy, args.timeout)
+            let reply = run_with_retries(args.addr.as_str(), &opts, &policy, args.timeout, None)
                 .map_err(|e| e.to_string())?;
             let mut summary = format!(
                 "{} status={} cache={} source={} elapsed_ms={} budget_ms={}",

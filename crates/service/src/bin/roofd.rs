@@ -41,10 +41,11 @@
 //! same `--fleet-seed` everywhere — on one owner per content digest,
 //! and a non-owner fetches from the owner before computing locally.
 //! `--fleet-secret` (required with `--peers`, same value everywhere) is
-//! the shared membership proof: peer fetches present it, and a `run`
-//! claiming `peer:true` without it is charged to its session tenant
-//! like any other request instead of riding the fleet's quota
-//! exemption. The `ROOFD_FLEET_SECRET` environment variable is the
+//! the shared membership proof: a `run` with a valid `fleet_token` is a
+//! peer fetch, exempt from quotas — holding the secret already grants
+//! join/leave/drain/replicate, so the exemption adds no privilege — and
+//! a `run` without it is charged to its session tenant like any other
+//! request. The `ROOFD_FLEET_SECRET` environment variable is the
 //! equivalent for scripts that must keep the secret off the command
 //! line.
 //!
@@ -66,6 +67,7 @@
 //! bound — scripts wait for that line before connecting.
 
 use roofline_service::auth::AuthConfig;
+use roofline_service::cli::{int, positive, positive_real, value};
 use roofline_service::engine::{Engine, EngineConfig};
 use roofline_service::faults::ServiceFaults;
 use roofline_service::fleet::FleetConfig;
@@ -95,8 +97,8 @@ fn parse_args() -> Result<Args, String> {
     let mut self_addr: Option<String> = None;
     let mut fleet_seed = 0u64;
     let mut fleet_secret = std::env::var("ROOFD_FLEET_SECRET").ok();
-    let mut peer_timeout: Option<Duration> = None;
-    let mut probe_interval: Option<Duration> = None;
+    let mut peer_timeout_ms: Option<u64> = None;
+    let mut probe_interval_ms: Option<u64> = None;
     let mut probe_failures: Option<u32> = None;
     let mut quota_rate: Option<f64> = None;
     let mut quota_burst: Option<f64> = None;
@@ -104,117 +106,37 @@ fn parse_args() -> Result<Args, String> {
 
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
-        match arg.as_str() {
-            "--addr" | "-a" => addr = value("--addr")?,
-            "--cache-dir" => cfg.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
+        let it = &mut it;
+        let flag = arg.as_str();
+        match flag {
+            "--addr" | "-a" => addr = value(it, "--addr")?,
+            "--cache-dir" => cfg.cache_dir = Some(PathBuf::from(value(it, flag)?)),
             "--no-disk-cache" => cfg.cache_dir = None,
-            "--mem-budget-mb" => {
-                let v = value("--mem-budget-mb")?;
-                let mb: usize = v
-                    .parse()
-                    .map_err(|_| format!("--mem-budget-mb needs an integer, got `{v}`"))?;
-                cfg.mem_budget_bytes = mb << 20;
-            }
-            "--workers" => {
-                let v = value("--workers")?;
-                cfg.workers = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or(format!("--workers needs a positive integer, got `{v}`"))?;
-            }
-            "--queue-depth" => {
-                let v = value("--queue-depth")?;
-                cfg.queue_depth = v
-                    .parse()
-                    .map_err(|_| format!("--queue-depth needs an integer, got `{v}`"))?;
-            }
-            "--max-backlog-min" => {
-                let v = value("--max-backlog-min")?;
-                let min: u64 = v
-                    .parse()
-                    .map_err(|_| format!("--max-backlog-min needs an integer, got `{v}`"))?;
-                cfg.max_backlog_ms = min * 60_000;
-            }
+            "--mem-budget-mb" => cfg.mem_budget_bytes = int::<usize>(it, flag)? << 20,
+            "--workers" => cfg.workers = positive(it, flag)?,
+            "--queue-depth" => cfg.queue_depth = int(it, flag)?,
+            "--max-backlog-min" => cfg.max_backlog_ms = int::<u64>(it, flag)? * 60_000,
             "--read-timeout-ms" => {
-                let v = value("--read-timeout-ms")?;
-                let ms: u64 = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or(format!("--read-timeout-ms needs a positive integer, got `{v}`"))?;
-                server_cfg.read_timeout = Duration::from_millis(ms);
+                server_cfg.read_timeout = Duration::from_millis(positive(it, flag)?)
             }
             "--write-timeout-ms" => {
-                let v = value("--write-timeout-ms")?;
-                let ms: u64 = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or(format!("--write-timeout-ms needs a positive integer, got `{v}`"))?;
-                server_cfg.write_timeout = Duration::from_millis(ms);
+                server_cfg.write_timeout = Duration::from_millis(positive(it, flag)?)
             }
-            "--max-line-kb" => {
-                let v = value("--max-line-kb")?;
-                let kb: usize = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or(format!("--max-line-kb needs a positive integer, got `{v}`"))?;
-                server_cfg.max_line_bytes = kb << 10;
-            }
-            "--max-connections" => {
-                let v = value("--max-connections")?;
-                server_cfg.max_connections = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or(format!("--max-connections needs a positive integer, got `{v}`"))?;
-            }
-            "--deadline-cap-ms" => {
-                let v = value("--deadline-cap-ms")?;
-                let ms: u64 = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or(format!("--deadline-cap-ms needs a positive integer, got `{v}`"))?;
-                cfg.deadline_cap_ms = Some(ms);
-            }
-            "--chaos" => chaos = Some(ServiceFaults::parse(&value("--chaos")?)?),
-            "--tokens" => {
-                cfg.auth = AuthConfig::from_file(&PathBuf::from(value("--tokens")?))?;
-            }
+            "--max-line-kb" => server_cfg.max_line_bytes = positive::<usize>(it, flag)? << 10,
+            "--max-connections" => server_cfg.max_connections = positive(it, flag)?,
+            "--deadline-cap-ms" => cfg.deadline_cap_ms = Some(positive(it, flag)?),
+            "--chaos" => chaos = Some(ServiceFaults::parse(&value(it, flag)?)?),
+            "--tokens" => cfg.auth = AuthConfig::from_file(&PathBuf::from(value(it, flag)?))?,
             "--quota-rate" => {
-                let v = value("--quota-rate")?;
-                quota_rate = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&r: &f64| r.is_finite() && r >= 0.0)
-                        .ok_or(format!("--quota-rate needs a non-negative number, got `{v}`"))?,
-                );
+                let v = value(it, flag)?;
+                quota_rate = v.parse().ok().filter(|r: &f64| r.is_finite() && *r >= 0.0);
+                quota_rate.ok_or(format!("{flag} needs a non-negative number, got `{v}`"))?;
             }
-            "--quota-burst" => {
-                let v = value("--quota-burst")?;
-                quota_burst = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&b: &f64| b.is_finite() && b > 0.0)
-                        .ok_or(format!("--quota-burst needs a positive number, got `{v}`"))?,
-                );
-            }
-            "--anon-weight" => {
-                let v = value("--anon-weight")?;
-                anon_weight = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&w: &f64| w.is_finite() && w > 0.0)
-                        .ok_or(format!("--anon-weight needs a positive number, got `{v}`"))?,
-                );
-            }
+            "--quota-burst" => quota_burst = Some(positive_real(it, flag)?),
+            "--anon-weight" => anon_weight = Some(positive_real(it, flag)?),
             "--peers" => {
                 peers = Some(
-                    value("--peers")?
+                    value(it, flag)?
                         .split(',')
                         .map(str::trim)
                         .filter(|s| !s.is_empty())
@@ -222,56 +144,19 @@ fn parse_args() -> Result<Args, String> {
                         .collect(),
                 );
             }
-            "--self-addr" => self_addr = Some(value("--self-addr")?),
-            "--fleet-seed" => {
-                let v = value("--fleet-seed")?;
-                fleet_seed = v
-                    .parse()
-                    .map_err(|_| format!("--fleet-seed needs an integer, got `{v}`"))?;
-            }
+            "--self-addr" => self_addr = Some(value(it, flag)?),
+            "--fleet-seed" => fleet_seed = int(it, flag)?,
             "--fleet-secret" => {
-                let v = value("--fleet-secret")?;
+                let v = value(it, flag)?;
                 if v.is_empty() {
                     return Err("--fleet-secret must not be empty".to_string());
                 }
                 fleet_secret = Some(v);
             }
-            "--peer-timeout-ms" => {
-                let v = value("--peer-timeout-ms")?;
-                let ms: u64 = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or(format!("--peer-timeout-ms needs a positive integer, got `{v}`"))?;
-                peer_timeout = Some(Duration::from_millis(ms));
-            }
-            "--probe-interval-ms" => {
-                let v = value("--probe-interval-ms")?;
-                let ms: u64 = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or(format!(
-                        "--probe-interval-ms needs a positive integer, got `{v}`"
-                    ))?;
-                probe_interval = Some(Duration::from_millis(ms));
-            }
-            "--probe-failures" => {
-                let v = value("--probe-failures")?;
-                probe_failures = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or(format!("--probe-failures needs a positive integer, got `{v}`"))?,
-                );
-            }
-            "--connections" => {
-                let v = value("--connections")?;
-                connections = Some(
-                    v.parse()
-                        .map_err(|_| format!("--connections needs an integer, got `{v}`"))?,
-                );
-            }
+            "--peer-timeout-ms" => peer_timeout_ms = Some(positive(it, flag)?),
+            "--probe-interval-ms" => probe_interval_ms = Some(positive(it, flag)?),
+            "--probe-failures" => probe_failures = Some(positive(it, flag)?),
+            "--connections" => connections = Some(int(it, flag)?),
             "--help" | "-h" => {
                 println!(
                     "usage: roofd [--addr HOST:PORT] [--cache-dir DIR | --no-disk-cache]\n\
@@ -305,17 +190,12 @@ fn parse_args() -> Result<Args, String> {
     }
     if let Some(chaos) = chaos {
         eprintln!("roofd: CHAOS ARMED: {chaos:?}");
-        cfg.faults = chaos.clone();
-        server_cfg.faults = chaos;
+        cfg.faults = chaos;
     }
     if quota_rate.is_some() || quota_burst.is_some() || anon_weight.is_some() {
         let mut quota = cfg.auth.quota.clone().unwrap_or_default();
-        if let Some(r) = quota_rate {
-            quota.rate_per_s = r;
-        }
-        if let Some(b) = quota_burst {
-            quota.burst = b;
-        }
+        quota.rate_per_s = quota_rate.unwrap_or(quota.rate_per_s);
+        quota.burst = quota_burst.unwrap_or(quota.burst);
         cfg.auth.quota = Some(quota);
         if let Some(w) = anon_weight {
             cfg.auth.anon_weight = w;
@@ -336,18 +216,13 @@ fn parse_args() -> Result<Args, String> {
         }
         let secret = fleet_secret.filter(|s| !s.is_empty()).ok_or(
             "--peers needs --fleet-secret (or ROOFD_FLEET_SECRET): the shared secret \
-             that proves a peer:true request really came from the fleet",
+             that proves a peer fetch really came from the fleet",
         )?;
         let mut fleet = FleetConfig::new(self_addr, peers, fleet_seed, secret);
-        if let Some(t) = peer_timeout {
-            fleet.io_timeout = t;
-        }
-        if let Some(t) = probe_interval {
-            fleet.probe_interval = t;
-        }
-        if let Some(k) = probe_failures {
-            fleet.probe_failures = k;
-        }
+        fleet.io_timeout = peer_timeout_ms.map_or(fleet.io_timeout, Duration::from_millis);
+        fleet.probe_interval =
+            probe_interval_ms.map_or(fleet.probe_interval, Duration::from_millis);
+        fleet.probe_failures = probe_failures.unwrap_or(fleet.probe_failures);
         cfg.fleet = Some(fleet);
     }
     Ok(Args {
@@ -358,40 +233,26 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let server = match Server::bind_with(
-        args.addr.as_str(),
-        Engine::new(args.cfg),
-        args.server_cfg,
-    ) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: could not bind {}: {e}", args.addr);
-            return ExitCode::FAILURE;
-        }
-    };
-    match server.local_addr() {
-        Ok(addr) => println!("roofd listening on {addr}"),
-        Err(e) => {
-            eprintln!("error: could not read bound address: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let outcome = match args.connections {
+fn serve(args: Args) -> Result<(), String> {
+    let engine = Engine::new(args.cfg);
+    let server = Server::bind_with(args.addr.as_str(), engine, args.server_cfg)
+        .map_err(|e| format!("could not bind {}: {e}", args.addr))?;
+    let addr = server
+        .local_addr()
+        .map_err(|e| format!("could not read bound address: {e}"))?;
+    println!("roofd listening on {addr}");
+    match args.connections {
         None => server.serve(),
         Some(n) => server.serve_n(n),
-    };
-    match outcome {
+    }
+    .map_err(|e| format!("serve failed: {e}"))
+}
+
+fn main() -> ExitCode {
+    match parse_args().and_then(serve) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: serve failed: {e}");
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }

@@ -10,6 +10,8 @@
 //! sweep executor applies to everything else: two clients with the same
 //! seed back off identically.
 
+use crate::cache::{status_from_str, CachedResult};
+use crate::protocol::{decode_result, field_str, field_strs};
 use experiments::platforms::Fidelity;
 use experiments::registry::Experiment;
 use roofline_core::json::{Envelope, Json};
@@ -17,7 +19,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -152,15 +154,12 @@ pub struct RunOpts {
     pub platform: String,
     /// Problem-size fidelity.
     pub fidelity: Fidelity,
-    /// Marks a fleet-internal cache-peer fetch: the server serves it
-    /// locally (never forwards again) and exempts it from quota
-    /// charging — the ingress node already charged the tenant. The
-    /// server only honors the claim when `fleet_token` proves fleet
-    /// membership; an unproven claim is charged like any other request.
-    pub peer: bool,
-    /// The shared fleet secret accompanying a `peer` claim
-    /// ([`crate::fleet::FleetConfig::secret`]); `None` (or a wrong
-    /// value) leaves the request charged to the session tenant.
+    /// The shared fleet secret ([`crate::fleet::FleetConfig::secret`]).
+    /// A `run` whose token verifies is a fleet-internal cache-peer
+    /// fetch: the server serves it locally (never forwards again) and
+    /// exempts it from quota charging — the ingress node already charged
+    /// the tenant. `None` (or a wrong value) leaves the request charged
+    /// to the session tenant.
     pub fleet_token: Option<String>,
     /// Bearer token to authenticate with before running; `None` runs
     /// as the anonymous tenant.
@@ -168,13 +167,12 @@ pub struct RunOpts {
 }
 
 impl RunOpts {
-    /// Plain client options: no peer flag, no token.
+    /// Plain client options: no fleet token, no bearer token.
     pub fn new(experiment: Experiment, platform: &str, fidelity: Fidelity) -> RunOpts {
         RunOpts {
             experiment,
             platform: platform.to_string(),
             fidelity,
-            peer: false,
             fleet_token: None,
             token: None,
         }
@@ -182,82 +180,46 @@ impl RunOpts {
 }
 
 /// Runs one request with retries: each attempt opens a fresh connection
-/// (a mid-request disconnect leaves the old one useless), and retryable
-/// failures back off per `policy`. `io_timeout` bounds each attempt's
-/// connect/read/write; pass `None` to block indefinitely.
+/// (a mid-request disconnect leaves the old one useless), authenticates
+/// with `opts.token` when set, and retryable failures back off per
+/// `policy`. `io_timeout` bounds each attempt's connect/read/write; pass
+/// `None` to block indefinitely.
+///
+/// An overall wall-clock `deadline` bounds the whole call: no attempt
+/// starts (and no backoff sleeps) past it, and each attempt's I/O
+/// timeout is clamped to the time remaining. This is what the fleet's
+/// cache-peer fetch runs on — a fetch holds a worker slot, so it must
+/// cost at most the requesting client's own deadline before the
+/// local-compute fallback, however dead the owning node is.
 ///
 /// # Errors
 ///
 /// The last attempt's error, once `policy.attempts` are exhausted or a
-/// non-retryable error (bad request, protocol violation) occurs.
+/// non-retryable error (bad request, protocol violation) occurs. An
+/// already-expired deadline fails with a retryable `TimedOut` I/O error
+/// without touching the network.
 pub fn run_with_retries(
     addr: impl ToSocketAddrs,
-    experiment: Experiment,
-    platform: &str,
-    fidelity: Fidelity,
-    policy: &RetryPolicy,
-    io_timeout: Option<Duration>,
-) -> Result<RunReply, ClientError> {
-    run_with_retries_opt(
-        addr,
-        &RunOpts::new(experiment, platform, fidelity),
-        policy,
-        io_timeout,
-    )
-}
-
-/// [`run_with_retries`] with the full request options (peer flag, bearer
-/// token). Each attempt authenticates anew on its fresh connection.
-///
-/// # Errors
-///
-/// The last attempt's error, once `policy.attempts` are exhausted or a
-/// non-retryable error (bad request, protocol violation) occurs.
-pub fn run_with_retries_opt(
-    addr: impl ToSocketAddrs,
     opts: &RunOpts,
     policy: &RetryPolicy,
     io_timeout: Option<Duration>,
-) -> Result<RunReply, ClientError> {
-    run_with_retries_until(addr, opts, policy, io_timeout, None)
-}
-
-/// [`run_with_retries_opt`] bounded by an overall wall-clock deadline:
-/// no attempt starts (and no backoff sleeps) past `deadline`, and each
-/// attempt's I/O timeout is clamped to the time remaining. This is what
-/// the fleet's cache-peer fetch runs on — a fetch holds a worker slot,
-/// so it must cost at most the requesting client's own deadline before
-/// the local-compute fallback, however dead the owning node is.
-///
-/// # Errors
-///
-/// The last attempt's error; an already-expired deadline fails with a
-/// retryable `TimedOut` I/O error without touching the network.
-pub fn run_with_retries_until(
-    addr: impl ToSocketAddrs,
-    opts: &RunOpts,
-    policy: &RetryPolicy,
-    io_timeout: Option<Duration>,
-    deadline: Option<std::time::Instant>,
+    deadline: Option<Instant>,
 ) -> Result<RunReply, ClientError> {
     let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
     let mut last = None;
     for attempt in 0..policy.attempts.max(1) {
         if attempt > 0 {
             let backoff = Duration::from_millis(policy.backoff_ms(attempt - 1));
-            if deadline.is_some_and(|d| std::time::Instant::now() + backoff >= d) {
+            if deadline.is_some_and(|d| Instant::now() + backoff >= d) {
                 break;
             }
             std::thread::sleep(backoff);
         }
-        let remaining = deadline.map(|d| d.saturating_duration_since(std::time::Instant::now()));
+        let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
         if remaining.is_some_and(|r| r.is_zero()) {
             break;
         }
-        let attempt_timeout = match (io_timeout, remaining) {
-            (Some(t), Some(r)) => Some(t.min(r)),
-            (t, r) => t.or(r),
-        };
+        let attempt_timeout = io_timeout.into_iter().chain(remaining).min();
         let result = Client::connect_with(&addrs[..], attempt_timeout)
             .map_err(ClientError::from)
             .and_then(|mut client| {
@@ -307,6 +269,22 @@ pub struct RunReply {
     pub artifacts: BTreeMap<String, String>,
 }
 
+impl RunReply {
+    /// The cacheable payload of this reply — what a fleet peer fetch
+    /// installs. Compute time belongs to the serving node, so it is
+    /// dropped, as on a disk reload.
+    pub(crate) fn into_result(self) -> CachedResult {
+        CachedResult {
+            status: status_from_str(&self.status).expect("run_opt decodes known statuses only"),
+            error: self.error,
+            detail: self.detail,
+            integrity: self.integrity,
+            compute_ms: None,
+            tree: self.artifacts,
+        }
+    }
+}
+
 /// A connected roofd client. One request is in flight at a time;
 /// responses are matched by an auto-incremented `seq`.
 pub struct Client {
@@ -336,27 +314,22 @@ impl Client {
         addr: impl ToSocketAddrs,
         io_timeout: Option<Duration>,
     ) -> io::Result<Client> {
-        let stream = match io_timeout {
-            None => TcpStream::connect(addr)?,
-            Some(t) => {
-                let mut last = None;
-                let mut stream = None;
-                for a in addr.to_socket_addrs()? {
-                    match TcpStream::connect_timeout(&a, t) {
-                        Ok(s) => {
-                            stream = Some(s);
-                            break;
-                        }
-                        Err(e) => last = Some(e),
-                    }
+        let mut last = io::Error::new(io::ErrorKind::InvalidInput, "no address to connect to");
+        let mut stream = None;
+        for a in addr.to_socket_addrs()? {
+            let attempt = match io_timeout {
+                Some(t) => TcpStream::connect_timeout(&a, t),
+                None => TcpStream::connect(a),
+            };
+            match attempt {
+                Ok(s) => {
+                    stream = Some(s);
+                    break;
                 }
-                stream.ok_or_else(|| {
-                    last.unwrap_or_else(|| {
-                        io::Error::new(io::ErrorKind::InvalidInput, "no address to connect to")
-                    })
-                })?
+                Err(e) => last = e,
             }
-        };
+        }
+        let stream = stream.ok_or(last)?;
         stream.set_read_timeout(io_timeout)?;
         stream.set_write_timeout(io_timeout)?;
         // Request lines are tiny and latency-bound; Nagle batching only
@@ -438,15 +411,7 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        let reply = self.round_trip(Envelope::new("ping"))?;
-        if reply.kind == "pong" {
-            Ok(())
-        } else {
-            Err(ClientError::Protocol(format!(
-                "expected pong, got {}",
-                reply.kind
-            )))
-        }
+        self.request(Envelope::new("ping"), "pong").map(|_| ())
     }
 
     /// Authenticates this connection with a bearer token; every
@@ -459,13 +424,7 @@ impl Client {
     /// (the connection survives, as the anonymous tenant).
     pub fn auth(&mut self, token: &str) -> Result<(String, f64), ClientError> {
         let env = Envelope::new("auth").field("token", Json::str(token));
-        let reply = self.round_trip(env)?;
-        if reply.kind != "authed" {
-            return Err(ClientError::Protocol(format!(
-                "expected authed, got {}",
-                reply.kind
-            )));
-        }
+        let reply = self.request(env, "authed")?;
         Ok((
             field_str(&reply, "tenant")
                 .ok_or_else(|| ClientError::Protocol("authed lacks a tenant".to_string()))?,
@@ -491,8 +450,7 @@ impl Client {
 
     /// [`Client::run`] with the full request options. The `token` field
     /// is ignored here — authenticate the connection once with
-    /// [`Client::auth`] instead (the per-attempt helper
-    /// [`run_with_retries_opt`] does both).
+    /// [`Client::auth`] instead ([`run_with_retries`] does both).
     ///
     /// # Errors
     ///
@@ -502,42 +460,13 @@ impl Client {
             .field("experiment", Json::str(opts.experiment.id()))
             .field("platform", Json::str(&opts.platform))
             .field("fidelity", Json::str(opts.fidelity.label()));
-        if opts.peer {
-            env = env.field("peer", Json::Bool(true));
-        }
         if let Some(fleet_token) = &opts.fleet_token {
             env = env.field("fleet_token", Json::str(fleet_token));
         }
-        let reply = self.round_trip(env)?;
-        if reply.kind != "result" {
-            return Err(ClientError::Protocol(format!(
-                "expected result, got {}",
-                reply.kind
-            )));
-        }
-        let artifacts = reply
-            .get("artifacts")
-            .and_then(Json::as_obj)
-            .map(|pairs| {
-                pairs
-                    .iter()
-                    .filter_map(|(k, v)| Some((k.clone(), v.as_str()?.to_string())))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let integrity = reply
-            .get("integrity")
-            .and_then(Json::as_arr)
-            .map(|items| {
-                items
-                    .iter()
-                    .filter_map(|v| v.as_str().map(str::to_string))
-                    .collect()
-            })
-            .unwrap_or_default();
+        let reply = self.request(env, "result")?;
+        let result = decode_result(&reply).map_err(ClientError::Protocol)?;
         Ok(RunReply {
-            status: field_str(&reply, "status")
-                .ok_or_else(|| ClientError::Protocol("result lacks a status".to_string()))?,
+            status: result.status.as_str().to_string(),
             cache_hit: field_str(&reply, "cache").as_deref() == Some("hit"),
             source: field_str(&reply, "source").unwrap_or_default(),
             elapsed_ms: field_u64(&reply, "elapsed_ms").unwrap_or(0),
@@ -547,10 +476,10 @@ impl Client {
                 .and_then(Json::as_bool)
                 .unwrap_or(false),
             compute_ms: field_u64(&reply, "compute_ms"),
-            error: field_str(&reply, "error"),
-            detail: field_str(&reply, "detail"),
-            integrity,
-            artifacts,
+            error: result.error,
+            detail: result.detail,
+            integrity: result.integrity,
+            artifacts: result.tree,
         })
     }
 
@@ -578,14 +507,7 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn stats_raw(&mut self) -> Result<Envelope, ClientError> {
-        let reply = self.round_trip(Envelope::new("stats"))?;
-        if reply.kind != "stats" {
-            return Err(ClientError::Protocol(format!(
-                "expected stats, got {}",
-                reply.kind
-            )));
-        }
-        Ok(reply)
+        self.request(Envelope::new("stats"), "stats")
     }
 
     /// Asks the server to shut down gracefully: it acknowledges, stops
@@ -595,15 +517,8 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        let reply = self.round_trip(Envelope::new("shutdown"))?;
-        if reply.kind == "shutting-down" {
-            Ok(())
-        } else {
-            Err(ClientError::Protocol(format!(
-                "expected shutting-down, got {}",
-                reply.kind
-            )))
-        }
+        self.request(Envelope::new("shutdown"), "shutting-down")
+            .map(|_| ())
     }
 
     /// Authenticated fleet ping: proves membership with `fleet_token`
@@ -633,7 +548,7 @@ impl Client {
         Ok(FleetPong {
             epoch: field_u64(&reply, "epoch").unwrap_or(0),
             version: field_u64(&reply, "version").unwrap_or(0),
-            members: field_str_arr(&reply, "members"),
+            members: field_strs(&reply, "members"),
         })
     }
 
@@ -675,7 +590,7 @@ impl Client {
             changed: reply.get("changed").and_then(Json::as_bool).unwrap_or(false),
             epoch: field_u64(&reply, "epoch").unwrap_or(0),
             version: field_u64(&reply, "version").unwrap_or(0),
-            peers: field_str_arr(&reply, "peers"),
+            peers: field_strs(&reply, "peers"),
         })
     }
 
@@ -698,13 +613,7 @@ impl Client {
     ///
     /// See [`ClientError`].
     pub fn purge(&mut self) -> Result<(u64, u64), ClientError> {
-        let reply = self.round_trip(Envelope::new("purge"))?;
-        if reply.kind != "purged" {
-            return Err(ClientError::Protocol(format!(
-                "expected purged, got {}",
-                reply.kind
-            )));
-        }
+        let reply = self.request(Envelope::new("purge"), "purged")?;
         Ok((
             field_u64(&reply, "memory_entries").unwrap_or(0),
             field_u64(&reply, "disk_entries").unwrap_or(0),
@@ -737,24 +646,8 @@ pub struct MembershipReply {
     pub peers: Vec<String>,
 }
 
-fn field_str(env: &Envelope, name: &str) -> Option<String> {
-    env.get(name).and_then(Json::as_str).map(str::to_string)
-}
-
 fn field_u64(env: &Envelope, name: &str) -> Option<u64> {
     env.get(name).and_then(Json::as_u64)
-}
-
-fn field_str_arr(env: &Envelope, name: &str) -> Vec<String> {
-    env.get(name)
-        .and_then(Json::as_arr)
-        .map(|items| {
-            items
-                .iter()
-                .filter_map(|v| v.as_str().map(str::to_string))
-                .collect()
-        })
-        .unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -825,13 +718,10 @@ mod tests {
 
     #[test]
     fn expired_deadline_short_circuits_before_any_network_attempt() {
-        use experiments::platforms::Fidelity;
-        use experiments::registry::Experiment;
-        use std::time::Instant;
         // Port 0 is unconnectable, but the expired deadline must win
         // before a single connect (or backoff sleep) happens.
         let started = Instant::now();
-        let err = run_with_retries_until(
+        let err = run_with_retries(
             "127.0.0.1:0",
             &RunOpts::new(Experiment::E1, "snb", Fidelity::Quick),
             &RetryPolicy::default(),

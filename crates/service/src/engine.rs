@@ -82,18 +82,12 @@ pub struct EngineConfig {
     /// Cap on the summed registry wall budgets of admitted-but-unfinished
     /// computations — backpressure in *time*, not just count.
     pub max_backlog_ms: u64,
-    /// Deadline headroom as a multiple of the experiment's registry wall
-    /// budget: a request may wait `budget × factor + slack` before it is
-    /// answered with a `timeout` error instead of blocking further.
-    pub deadline_factor: f64,
-    /// Flat slack added to every deadline, in milliseconds — keeps the
-    /// deadline meaningful for experiments with tiny budgets.
-    pub deadline_slack_ms: u64,
     /// Optional hard ceiling on the derived deadline, in milliseconds.
     /// Chaos tests pin this low to prove a wedged computation cannot hold
     /// coalesced waiters hostage.
     pub deadline_cap_ms: Option<u64>,
-    /// Fault-injection knobs for the chaos harness; disabled by default.
+    /// Fault-injection knobs for the chaos harness — disk, compute, and
+    /// the server's mid-request disconnect; disabled by default.
     pub faults: ServiceFaults,
     /// Client identity + fair-share quotas ([`crate::auth`]); the
     /// default is fully open (no tokens, no quotas).
@@ -111,8 +105,6 @@ impl Default for EngineConfig {
             workers: default_jobs(),
             queue_depth: 64,
             max_backlog_ms: 30 * 60_000,
-            deadline_factor: 2.0,
-            deadline_slack_ms: 1_000,
             deadline_cap_ms: None,
             faults: ServiceFaults::default(),
             auth: AuthConfig::default(),
@@ -121,12 +113,20 @@ impl Default for EngineConfig {
     }
 }
 
+/// Deadline headroom as a multiple of the experiment's registry wall
+/// budget: a request may wait `budget × factor + slack` before it is
+/// answered with a `timeout` error instead of blocking further.
+const DEADLINE_FACTOR: u64 = 2;
+
+/// Flat slack added to every deadline, in milliseconds — keeps the
+/// deadline meaningful for experiments with tiny budgets.
+const DEADLINE_SLACK_MS: u64 = 1_000;
+
 impl EngineConfig {
     /// The wall-clock deadline (in milliseconds from submission) granted
     /// to a request whose experiment has the given registry budget.
     pub fn deadline_ms(&self, budget_ms: u64) -> u64 {
-        let derived =
-            (budget_ms as f64 * self.deadline_factor) as u64 + self.deadline_slack_ms;
+        let derived = budget_ms.saturating_mul(DEADLINE_FACTOR) + DEADLINE_SLACK_MS;
         match self.deadline_cap_ms {
             Some(cap) => derived.min(cap),
             None => derived,
@@ -221,31 +221,6 @@ pub enum Outcome {
     },
 }
 
-/// Per-request identity and provenance, carried alongside the request
-/// tuple by [`Engine::submit_with`].
-#[derive(Debug, Clone)]
-pub struct SubmitOpts<'a> {
-    /// The tenant this request is accounted to (see [`crate::auth`]).
-    pub tenant: &'a str,
-    /// True for *verified* fleet-internal cache-peer fetches: served
-    /// locally (no further forwarding), exempt from quota charging (the
-    /// ingress node already charged the originating tenant), and
-    /// accounted under the [`FLEET_TENANT`] ledger line. Callers must
-    /// only set this after [`Engine::verify_peer`] accepted the
-    /// request's fleet token — an unproven `peer` claim is an ordinary
-    /// tenant request.
-    pub peer: bool,
-}
-
-impl Default for SubmitOpts<'_> {
-    fn default() -> Self {
-        SubmitOpts {
-            tenant: ANON_TENANT,
-            peer: false,
-        }
-    }
-}
-
 /// The experiment body the engine schedules; injectable for tests.
 pub type ComputeFn = dyn Fn(Experiment, &str, Fidelity) -> ExperimentOutput + Send + Sync;
 
@@ -326,15 +301,16 @@ struct State {
 impl State {
     /// This tenant's admission state, created on first touch (bucket
     /// full, nothing outstanding) from the auth config's weights.
-    fn admission(&mut self, auth: &AuthConfig, max_backlog_ms: u64, tenant: &str) -> &mut TenantAdmission {
+    fn admission(&mut self, cfg: &EngineConfig, tenant: &str) -> &mut TenantAdmission {
         if !self.tenants.contains_key(tenant) {
+            let auth = &cfg.auth;
             let quota = auth.quota.as_ref().expect("admission needs quotas enabled");
             self.tenants.insert(
                 tenant.to_string(),
                 TenantAdmission {
                     bucket: TokenBucket::new(quota, auth.weight_of(tenant), Instant::now()),
                     outstanding_ms: 0,
-                    cap_ms: auth.backlog_cap_ms(tenant, max_backlog_ms),
+                    cap_ms: auth.backlog_cap_ms(tenant, cfg.max_backlog_ms),
                 },
             );
         }
@@ -441,16 +417,17 @@ impl Engine {
             .map(|t| (t.name.clone(), t.weight))
     }
 
-    /// True when `fleet_token` proves fleet membership against this
-    /// node's configured fleet secret — the gate on honoring a request's
-    /// `peer` claim. Always false on a standalone node or for a missing
-    /// token, so an anonymous client cannot exempt itself from quota
-    /// charging by writing `"peer":true` into its requests.
-    pub fn verify_peer(&self, fleet_token: Option<&str>) -> bool {
-        match (&self.inner.fleet, fleet_token) {
-            (Some(fleet), Some(token)) => fleet.config().accepts_token(token),
-            _ => false,
-        }
+    /// The fleet, when `fleet_token` proves membership against this
+    /// node's configured fleet secret — the gate on every secret-only
+    /// command and on treating a `run` as a peer fetch. Always `None` on
+    /// a standalone node or for a missing token, so an anonymous client
+    /// cannot exempt itself from quota charging.
+    pub fn verify_peer(&self, fleet_token: Option<&str>) -> Option<Arc<Fleet>> {
+        let fleet = self.inner.fleet.as_ref()?;
+        fleet
+            .config()
+            .accepts_token(fleet_token?)
+            .then(|| Arc::clone(fleet))
     }
 
     /// Serves one request, blocking until it is answered or rejected.
@@ -466,14 +443,17 @@ impl Engine {
     /// publishes its result — the experiment body cannot be aborted — so
     /// a late owner answers late, but its coalesced waiters never do.
     pub fn submit(&self, req: &Request) -> Outcome {
-        self.submit_with(req, &SubmitOpts::default())
+        self.submit_with(req, ANON_TENANT)
     }
 
-    /// [`Engine::submit`] with explicit identity and provenance: the
-    /// request is accounted to `opts.tenant` (fair-share quotas, served
-    /// counters), and `opts.peer` marks a fleet-internal fetch that must
-    /// be served locally and is exempt from quota charging.
-    pub fn submit_with(&self, req: &Request, opts: &SubmitOpts<'_>) -> Outcome {
+    /// [`Engine::submit`] accounted to `tenant` (fair-share quotas,
+    /// served counters). The reserved [`FLEET_TENANT`] marks a verified
+    /// fleet-internal peer fetch: served locally (no further forwarding)
+    /// and exempt from quota charging, since the ingress node already
+    /// charged the originating tenant. Callers pass it only after
+    /// [`Engine::verify_peer`] accepted the request's fleet token; token
+    /// files cannot name it.
+    pub fn submit_with(&self, req: &Request, tenant: &str) -> Outcome {
         let start = Instant::now();
         if let Err(e) = try_config_by_name(&req.platform) {
             lock(&self.inner.stats).invalid += 1;
@@ -484,7 +464,7 @@ impl Engine {
         let budget_ms = req.experiment.wall_budget_ms(req.fidelity);
         let deadline_ms = self.inner.cfg.deadline_ms(budget_ms);
         let deadline = start + Duration::from_millis(deadline_ms);
-        let quotas = self.inner.cfg.auth.quotas_enabled() && !opts.peer;
+        let quotas = self.inner.cfg.auth.quotas_enabled() && tenant != FLEET_TENANT;
 
         enum Role {
             Hit(Arc<CachedResult>),
@@ -499,11 +479,10 @@ impl Engine {
             // flooding tenant degrades to its fair share before it can
             // saturate the global queue bounds below.
             if quotas {
-                let admission =
-                    st.admission(&self.inner.cfg.auth, self.inner.cfg.max_backlog_ms, opts.tenant);
+                let admission = st.admission(&self.inner.cfg, tenant);
                 if let Err(retry_after_ms) = admission.bucket.try_take(Instant::now()) {
                     drop(st);
-                    return self.quota_rejected(opts.tenant, retry_after_ms);
+                    return self.quota_rejected(tenant, retry_after_ms);
                 }
             }
             if let Some(result) = st.cache.get(&digest) {
@@ -513,17 +492,6 @@ impl Engine {
                 lock(&self.inner.stats).coalesced += 1;
                 Role::Waiter(flight.clone())
             } else {
-                // A draining node admits nothing new: hits and
-                // coalesced joins above still serve, but a fresh flight
-                // is refused with a retryable `busy` so the client
-                // fails over while in-flight work finishes.
-                if self.draining() {
-                    lock(&self.inner.stats).busy += 1;
-                    return Outcome::Busy {
-                        queued: st.queued,
-                        backlog_ms: st.backlog_ms,
-                    };
-                }
                 // Bounded admission: total admitted work may not exceed
                 // the worker slots plus the queue allowance, and the
                 // budgeted backlog may not exceed its cap. An idle engine
@@ -533,7 +501,11 @@ impl Engine {
                     >= self.inner.cfg.workers.max(1) + self.inner.cfg.queue_depth;
                 let over_backlog = st.backlog_ms > 0
                     && st.backlog_ms + budget_ms > self.inner.cfg.max_backlog_ms;
-                if over_queue || over_backlog {
+                // A draining node admits nothing new: hits and
+                // coalesced joins above still serve, but a fresh flight
+                // is refused with a retryable `busy` so the client
+                // fails over while in-flight work finishes.
+                if self.draining() || over_queue || over_backlog {
                     lock(&self.inner.stats).busy += 1;
                     return Outcome::Busy {
                         queued: st.queued,
@@ -545,17 +517,13 @@ impl Engine {
                 // slice of the global backlog cap. Same idle-tenant
                 // exception as the global bound.
                 if quotas {
-                    let admission = st.admission(
-                        &self.inner.cfg.auth,
-                        self.inner.cfg.max_backlog_ms,
-                        opts.tenant,
-                    );
+                    let admission = st.admission(&self.inner.cfg, tenant);
                     if admission.outstanding_ms > 0
                         && admission.outstanding_ms + budget_ms > admission.cap_ms
                     {
                         drop(st);
                         let retry_after_ms = (budget_ms / 2).clamp(100, 60_000);
-                        return self.quota_rejected(opts.tenant, retry_after_ms);
+                        return self.quota_rejected(tenant, retry_after_ms);
                     }
                     admission.outstanding_ms += budget_ms;
                 }
@@ -574,8 +542,10 @@ impl Engine {
                 None => return self.timed_out(start, deadline_ms),
             },
             Role::Owner(flight) => {
-                match self.run_owned(req, opts, quotas, &key, &digest, budget_ms, deadline, &flight)
-                {
+                let owned = self.run_owned(
+                    req, tenant, quotas, &key, &digest, budget_ms, deadline, &flight,
+                );
+                match owned {
                     Some(pair) => pair,
                     None => return self.timed_out(start, deadline_ms),
                 }
@@ -588,11 +558,7 @@ impl Engine {
         {
             let mut stats = lock(&self.inner.stats);
             stats.record_latency(elapsed_ms);
-            // Verified peer fetches get their own ledger line: folding
-            // them into the session tenant (anonymous, on owner nodes)
-            // would muddy the per-tenant fairness observables.
-            let account = if opts.peer { FLEET_TENANT } else { opts.tenant };
-            stats.tenant(account).served += 1;
+            stats.tenant(tenant).served += 1;
             if over_budget && source == Source::Computed {
                 stats.over_budget += 1;
             }
@@ -631,6 +597,12 @@ impl Engine {
         lock(&self.inner.stats).shed += 1;
     }
 
+    /// The process's one fault lottery, which the server draws its
+    /// mid-request disconnects from.
+    pub(crate) fn lottery(&self) -> &FaultLottery {
+        &self.inner.lottery
+    }
+
     /// The owner path: wait for a worker slot (bounded by the request's
     /// deadline), probe the disk tier, and compute on a miss; then
     /// publish to cache, flight, and disk. Returns `None` when the
@@ -641,7 +613,7 @@ impl Engine {
     fn run_owned(
         &self,
         req: &Request,
-        opts: &SubmitOpts<'_>,
+        tenant: &str,
         quotas: bool,
         key: &CacheKey,
         digest: &str,
@@ -657,12 +629,7 @@ impl Engine {
                     st.queued -= 1;
                     st.backlog_ms -= budget_ms;
                     if quotas {
-                        st.admission(
-                            &self.inner.cfg.auth,
-                            self.inner.cfg.max_backlog_ms,
-                            opts.tenant,
-                        )
-                        .outstanding_ms -= budget_ms;
+                        st.admission(&self.inner.cfg, tenant).outstanding_ms -= budget_ms;
                     }
                     st.inflight.remove(digest);
                     drop(st);
@@ -682,39 +649,19 @@ impl Engine {
                 lock(&self.inner.stats).disk_hits += 1;
                 (Arc::new(loaded), Source::Disk)
             }
-            None => match self.peer_fetch(req, opts, digest, deadline) {
-                Some(fetched) => {
-                    let fetched = Arc::new(fetched);
-                    // Spill like a computation: a peer-served result is
-                    // as durable as a local one.
-                    if fetched.cacheable() {
-                        if let Some(disk) = &self.inner.disk {
-                            if let Err(e) = disk.store(key, &fetched) {
-                                eprintln!(
-                                    "roofd: could not spill {} to disk: {e}",
-                                    key.canonical()
-                                );
-                            }
-                        }
+            None => {
+                // Spill like a computation: a peer-served result is as
+                // durable as a local one.
+                let (result, source) = match self.peer_fetch(req, tenant, digest, deadline) {
+                    Some(fetched) => (Arc::new(fetched), Source::Peer),
+                    None => {
+                        lock(&self.inner.stats).misses += 1;
+                        (Arc::new(self.compute(req, digest)), Source::Computed)
                     }
-                    (fetched, Source::Peer)
-                }
-                None => {
-                    lock(&self.inner.stats).misses += 1;
-                    let computed = Arc::new(self.compute(req, digest));
-                    if computed.cacheable() {
-                        if let Some(disk) = &self.inner.disk {
-                            if let Err(e) = disk.store(key, &computed) {
-                                eprintln!(
-                                    "roofd: could not spill {} to disk: {e}",
-                                    key.canonical()
-                                );
-                            }
-                        }
-                    }
-                    (computed, Source::Computed)
-                }
-            },
+                };
+                self.spill(key, &result);
+                (result, source)
+            }
         };
 
         {
@@ -727,8 +674,7 @@ impl Engine {
             st.running -= 1;
             st.backlog_ms -= budget_ms;
             if quotas {
-                st.admission(&self.inner.cfg.auth, self.inner.cfg.max_backlog_ms, opts.tenant)
-                    .outstanding_ms -= budget_ms;
+                st.admission(&self.inner.cfg, tenant).outstanding_ms -= budget_ms;
             }
         }
         self.inner.slot_free.notify_all();
@@ -768,6 +714,16 @@ impl Engine {
         }
     }
 
+    /// Writes a cacheable result to the disk tier, when there is one. A
+    /// failed write only costs a future disk hit, so it is logged.
+    fn spill(&self, key: &CacheKey, result: &CachedResult) {
+        if let (true, Some(disk)) = (result.cacheable(), &self.inner.disk) {
+            if let Err(e) = disk.store(key, result) {
+                eprintln!("roofd: could not spill {} to disk: {e}", key.canonical());
+            }
+        }
+    }
+
     /// Installs a result pushed by the digest's owner into this node's
     /// caches (memory, and disk when configured) — the receiving side
     /// of `replicate`. The protocol layer gates this on a verified
@@ -779,14 +735,7 @@ impl Engine {
         let key = req.cache_key();
         let digest = key.digest();
         let result = Arc::new(result);
-        if let Some(disk) = &self.inner.disk {
-            if let Err(e) = disk.store(&key, &result) {
-                eprintln!(
-                    "roofd: could not spill replica {} to disk: {e}",
-                    key.canonical()
-                );
-            }
-        }
+        self.spill(&key, &result);
         {
             let mut st = lock(&self.inner.state);
             let evicted = st.cache.insert(digest, result);
@@ -813,61 +762,48 @@ impl Engine {
     fn peer_fetch(
         &self,
         req: &Request,
-        opts: &SubmitOpts<'_>,
+        tenant: &str,
         digest: &str,
         deadline: Instant,
     ) -> Option<CachedResult> {
-        if opts.peer {
+        if tenant == FLEET_TENANT {
             return None;
         }
         let fleet = self.inner.fleet.as_ref()?;
-        let owner = fleet.remote_owner(digest)?;
+        let mut next = Some(fleet.remote_owner(digest)?);
         if Instant::now() >= deadline {
             // Too late for network round trips; not a peer miss — the
             // fetch was never attempted.
             return None;
         }
-        match fleet.fetch(&owner, req, deadline) {
-            Ok(result) => {
-                fleet.mark_success(&owner);
-                let mut stats = lock(&self.inner.stats);
-                stats.peer_hits += 1;
-                stats.tenant(opts.tenant).peer_hits += 1;
-                return Some(result);
-            }
-            Err(e) => {
-                eprintln!("roofd: peer fetch from {owner} failed: {e}");
-                fleet.mark_failure(&owner);
-            }
-        }
-        // The replica path: whoever owns the digest once `owner` is
-        // gone is where the owner pushed its replica. Skip when that is
-        // this node (anything we hold would already have been a mem
-        // hit) or the deadline is spent.
-        if let Some(fallback) = fleet
-            .owner_excluding(digest, &owner)
-            .filter(|f| *f != fleet.config().self_addr)
-        {
-            if Instant::now() < deadline {
-                match fleet.fetch(&fallback, req, deadline) {
-                    Ok(result) => {
-                        fleet.mark_success(&fallback);
-                        let mut stats = lock(&self.inner.stats);
-                        stats.peer_hits += 1;
-                        stats.replica_hits += 1;
-                        stats.tenant(opts.tenant).peer_hits += 1;
-                        return Some(result);
-                    }
-                    Err(e) => {
-                        eprintln!("roofd: replica fetch from {fallback} failed: {e}");
-                        fleet.mark_failure(&fallback);
-                    }
+        for replica in [false, true] {
+            let Some(from) = next.take() else { break };
+            match fleet.fetch(&from, req, deadline) {
+                Ok(result) => {
+                    fleet.mark_success(&from);
+                    let mut stats = lock(&self.inner.stats);
+                    stats.peer_hits += 1;
+                    stats.replica_hits += replica as u64;
+                    stats.tenant(tenant).peer_hits += 1;
+                    return Some(result);
+                }
+                Err(e) => {
+                    let what = if replica { "replica" } else { "peer" };
+                    eprintln!("roofd: {what} fetch from {from} failed: {e}");
+                    fleet.mark_failure(&from);
                 }
             }
+            // The replica path: whoever owns the digest once the owner is
+            // gone is where the owner pushed its replica. Skip when that
+            // is this node (anything we hold would already have been a
+            // mem hit) or the deadline is spent.
+            next = fleet
+                .owner_excluding(digest, &from)
+                .filter(|f| *f != fleet.config().self_addr && Instant::now() < deadline);
         }
         let mut stats = lock(&self.inner.stats);
         stats.peer_misses += 1;
-        stats.tenant(opts.tenant).peer_misses += 1;
+        stats.tenant(tenant).peer_misses += 1;
         None
     }
 

@@ -28,8 +28,7 @@ use std::time::Duration;
 pub const CHAOS_ENV: &str = "ROOFD_CHAOS";
 
 /// Configuration of the service fault injector, carried on
-/// [`EngineConfig`](crate::engine::EngineConfig) and
-/// [`ServerConfig`](crate::server::ServerConfig).
+/// [`EngineConfig`](crate::engine::EngineConfig).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceFaults {
     /// Master switch; when false no fault fires and the lottery never

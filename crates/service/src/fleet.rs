@@ -40,9 +40,10 @@
 //! pin.
 //!
 //! A node that is not the owner of a requested digest does a
-//! **cache-peer fetch**: one `run` request to the owner (marked
-//! `peer:true` so the owner serves it locally even if its own peer list
-//! disagrees — forwarding never chains) through [`crate::client`] with
+//! **cache-peer fetch**: one `run` request to the owner carrying the
+//! fleet secret as `fleet_token` — a `run` with a valid token is a peer
+//! fetch, so the owner serves it locally even if its own peer list
+//! disagrees (forwarding never chains) — through [`crate::client`] with
 //! its retrying policy. When the owner is down, the fetch falls back to
 //! the digest's **successor** (second-highest rendezvous score — exactly
 //! the node that becomes owner once the death is observed), which holds
@@ -51,21 +52,23 @@
 //! path honest:
 //!
 //! * **membership is proven, not claimed** — every node shares a fleet
-//!   [`FleetConfig::secret`], peer requests carry it as `fleet_token`,
-//!   and the owner only honors the `peer` exemption from quota charging
-//!   when the token matches ([`FleetConfig::accepts_token`]). A hostile
-//!   client writing `"peer":true` into its own requests is charged to
-//!   its session tenant like everyone else. The same secret gates the
-//!   `join`/`leave`/`drain`/`replicate` admin and replication commands.
+//!   [`FleetConfig::secret`] and peer requests carry it as
+//!   `fleet_token`. A `run` with a valid token
+//!   ([`FleetConfig::accepts_token`]) is a peer fetch, exempt from quota
+//!   charging; holding the secret already grants
+//!   `join`/`leave`/`drain`/`replicate`, so the exemption adds no
+//!   privilege. A client without the secret is charged to its session
+//!   tenant like everyone else.
 //! * **a fetch costs bounded time** — each attempt is clamped to
 //!   [`FleetConfig::io_timeout`] *and* the requesting client's own
 //!   wall-clock deadline, whichever is shorter, so a dead or wedged
 //!   owner cannot pin this node's worker slot past the point where the
 //!   request would have timed out anyway.
 
-use crate::cache::{status_from_str, CachedResult};
-use crate::client::{run_with_retries_until, Client, ClientError, RetryPolicy, RunOpts};
+use crate::cache::CachedResult;
+use crate::client::{run_with_retries, Client, ClientError, RetryPolicy, RunOpts};
 use crate::engine::Request;
+use crate::protocol::encode_result;
 use crate::sync::lock;
 use roofline_core::json::{Envelope, Json};
 use std::collections::BTreeMap;
@@ -88,10 +91,10 @@ pub struct FleetConfig {
     /// Shared hash seed; all nodes must agree or ownership splits.
     pub seed: u64,
     /// Shared fleet secret: peer fetches present it as `fleet_token`,
-    /// and a `peer:true` claim without the matching token is charged to
-    /// the session tenant like any ordinary request. All nodes must
-    /// agree; an empty secret disables the peer exemption entirely
-    /// (fail closed — fetches still work, charged as anonymous).
+    /// and a `run` without the matching token is charged to the session
+    /// tenant like any ordinary request. All nodes must agree; an empty
+    /// secret disables the peer exemption entirely (fail closed —
+    /// fetches still work, charged as anonymous).
     pub secret: String,
     /// Retry policy for peer fetches (attempts, seeded backoff).
     pub retry: RetryPolicy,
@@ -442,9 +445,9 @@ impl Fleet {
 
     /// Fetches the result for `req` from `from` (the owner, or its
     /// successor on fallback), spending at most the time until
-    /// `deadline`. The request is marked `peer:true` with the shared
-    /// fleet secret as `fleet_token`, so the remote serves it locally
-    /// (no forwarding chains, no quota charge) — see the module docs.
+    /// `deadline`. The request carries the shared fleet secret as
+    /// `fleet_token`, so the remote serves it as a peer fetch (no
+    /// forwarding chains, no quota charge) — see the module docs.
     ///
     /// # Errors
     ///
@@ -456,33 +459,18 @@ impl Fleet {
         req: &Request,
         deadline: Instant,
     ) -> Result<CachedResult, ClientError> {
-        let reply = run_with_retries_until(
+        let opts = RunOpts {
+            fleet_token: Some(self.cfg.secret.clone()),
+            ..RunOpts::new(req.experiment, &req.platform, req.fidelity)
+        };
+        let reply = run_with_retries(
             from,
-            &RunOpts {
-                experiment: req.experiment,
-                platform: req.platform.clone(),
-                fidelity: req.fidelity,
-                peer: true,
-                fleet_token: Some(self.cfg.secret.clone()),
-                token: None,
-            },
+            &opts,
             &self.cfg.retry,
             Some(self.cfg.io_timeout),
             Some(deadline),
         )?;
-        let status = status_from_str(&reply.status).ok_or_else(|| {
-            ClientError::Protocol(format!("peer returned unknown status `{}`", reply.status))
-        })?;
-        Ok(CachedResult {
-            status,
-            error: reply.error,
-            detail: reply.detail,
-            integrity: reply.integrity,
-            // Compute time belongs to the owner, not this node; a
-            // peer-served result reports none, like a disk hit.
-            compute_ms: None,
-            tree: reply.artifacts,
-        })
+        Ok(reply.into_result())
     }
 
     /// Pushes a freshly computed result to `to` (the digest's
@@ -500,31 +488,14 @@ impl Fleet {
         result: &CachedResult,
     ) -> Result<(), ClientError> {
         let mut client = Client::connect_with(to, Some(self.cfg.io_timeout))?;
-        let mut env = Envelope::new("replicate")
+        let env = Envelope::new("replicate")
             .field("fleet_token", Json::str(&self.cfg.secret))
             .field("experiment", Json::str(req.experiment.id()))
             .field("platform", Json::str(&req.platform))
-            .field("fidelity", Json::str(req.fidelity.label()))
-            .field("status", Json::str(result.status.as_str()));
-        if let Some(error) = &result.error {
-            env = env.field("error", Json::str(error));
-        }
-        if let Some(detail) = &result.detail {
-            env = env.field("detail", Json::str(detail));
-        }
-        if !result.integrity.is_empty() {
-            env = env.field(
-                "integrity",
-                Json::Arr(result.integrity.iter().map(Json::str).collect()),
-            );
-        }
-        let artifacts = result
-            .tree
-            .iter()
-            .map(|(name, contents)| (name.clone(), Json::str(contents)))
-            .collect();
-        env = env.field("artifacts", Json::Obj(artifacts));
-        client.request(env, "replicated").map(|_| ())
+            .field("fidelity", Json::str(req.fidelity.label()));
+        client
+            .request(encode_result(env, result), "replicated")
+            .map(|_| ())
     }
 }
 
@@ -591,22 +562,14 @@ impl HealthProber {
         Ok((pong.version, pong.members))
     }
 
-    /// Signals the probe thread to stop and joins it.
-    pub fn stop(mut self) {
-        self.halt();
-    }
-
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
 }
 
 impl Drop for HealthProber {
     fn drop(&mut self) {
-        self.halt();
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
     }
 }
 

@@ -37,6 +37,7 @@
 
 pub mod auth;
 pub mod cache;
+pub mod cli;
 pub mod client;
 pub mod engine;
 pub mod faults;

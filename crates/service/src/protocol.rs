@@ -24,12 +24,13 @@
 //! is closed, so bearer tokens cannot be brute-forced at line rate over
 //! one socket.
 //!
-//! A `run` request may claim to be a fleet-internal cache-peer fetch
-//! (`peer:true`), which exempts it from quota charging; the claim is
-//! only honored when the request's `fleet_token` matches the node's
-//! configured fleet secret ([`crate::fleet::FleetConfig::secret`]).
-//! Anything less is charged to the session tenant like an ordinary
-//! request.
+//! A `run` with a valid `fleet_token` (the node's configured fleet
+//! secret, [`crate::fleet::FleetConfig::secret`]) is a peer fetch: it is
+//! served locally, never forwarded, exempt from quota charging, and
+//! accounted to the reserved [`FLEET_TENANT`]. Holding the secret
+//! already grants `join`/`leave`/`drain`/`replicate`, so the exemption
+//! adds no privilege. A `run` without a valid token is charged to the
+//! session tenant like any ordinary request.
 //!
 //! The same secret gates the fleet-internal and admin surface: a `ping`
 //! carrying a valid `fleet_token` (plus the sender's `epoch` and `from`
@@ -41,12 +42,15 @@
 //! cache. All four answer `unauthorized` without the secret, counted
 //! against the same [`MAX_FAILED_AUTHS`] budget as bad `auth` tokens.
 
+use crate::auth::FLEET_TENANT;
 use crate::cache::{status_from_str, CachedResult};
-use crate::engine::{Done, Engine, Outcome, Request, SubmitOpts};
+use crate::engine::{Done, Engine, Outcome, Request};
+use crate::fleet::Fleet;
 use crate::stats::StatsSnapshot;
 use experiments::platforms::Fidelity;
 use experiments::registry::Experiment;
 use roofline_core::json::{Envelope, Json};
+use std::sync::Arc;
 
 /// Machine-readable error codes the service emits.
 pub mod error_code {
@@ -99,15 +103,91 @@ impl Default for Session {
     }
 }
 
+/// A response envelope of `kind`, echoing the request's `seq` when it
+/// had one.
+fn reply(kind: &str, seq: Option<&str>) -> Envelope {
+    let env = Envelope::new(kind);
+    match seq {
+        Some(seq) => env.seq(seq),
+        None => env,
+    }
+}
+
 /// Builds an `error` response envelope.
 pub fn error_envelope(seq: Option<&str>, code: &str, detail: impl Into<String>) -> Envelope {
-    let mut env = Envelope::new("error")
+    reply("error", seq)
         .field("code", Json::str(code))
-        .field("detail", Json::str(detail.into()));
-    if let Some(seq) = seq {
-        env = env.seq(seq);
+        .field("detail", Json::str(detail.into()))
+}
+
+/// An envelope's string field.
+pub(crate) fn field_str(env: &Envelope, name: &str) -> Option<String> {
+    env.get(name).and_then(Json::as_str).map(str::to_string)
+}
+
+/// The string items of an envelope's array field; empty when absent.
+pub(crate) fn field_strs(env: &Envelope, name: &str) -> Vec<String> {
+    env.get(name)
+        .and_then(Json::as_arr)
+        .map(|items| {
+            items
+                .iter()
+                .filter_map(|v| v.as_str().map(str::to_string))
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
+/// Writes a result's wire fields — status, error, detail, integrity and
+/// the artifact tree — onto `env`. Shared by the `result` reply and the
+/// `replicate` push; [`decode_result`] is its inverse.
+pub(crate) fn encode_result(mut env: Envelope, r: &CachedResult) -> Envelope {
+    env = env.field("status", Json::str(r.status.as_str()));
+    if let Some(error) = &r.error {
+        env = env.field("error", Json::str(error));
     }
-    env
+    if let Some(detail) = &r.detail {
+        env = env.field("detail", Json::str(detail));
+    }
+    if !r.integrity.is_empty() {
+        env = env.field(
+            "integrity",
+            Json::Arr(r.integrity.iter().map(Json::str).collect()),
+        );
+    }
+    let artifacts = r
+        .tree
+        .iter()
+        .map(|(name, contents)| (name.clone(), Json::str(contents)))
+        .collect();
+    env.field("artifacts", Json::Obj(artifacts))
+}
+
+/// Reads the fields [`encode_result`] writes. The compute time is not
+/// on the wire: like a disk reload, a received copy is
+/// provenance-stripped.
+///
+/// # Errors
+///
+/// A missing or unknown `status`.
+pub(crate) fn decode_result(env: &Envelope) -> Result<CachedResult, String> {
+    let status = field_str(env, "status").ok_or("result lacks a status")?;
+    Ok(CachedResult {
+        status: status_from_str(&status).ok_or(format!("unknown status `{status}`"))?,
+        error: field_str(env, "error"),
+        detail: field_str(env, "detail"),
+        integrity: field_strs(env, "integrity"),
+        compute_ms: None,
+        tree: env
+            .get("artifacts")
+            .and_then(Json::as_obj)
+            .map(|o| {
+                o.iter()
+                    .filter_map(|(k, v)| Some((k.clone(), v.as_str()?.to_string())))
+                    .collect()
+            })
+            .unwrap_or_default(),
+    })
 }
 
 /// Parses the `(experiment, platform, fidelity)` tuple out of a `run`
@@ -153,16 +233,10 @@ pub fn parse_run_request(env: &Envelope) -> Result<Request, Box<Envelope>> {
 /// provenance, timings, the integrity report, and the full normalized
 /// artifact tree.
 pub fn result_envelope(seq: Option<&str>, req: &Request, done: &Done) -> Envelope {
-    let r = &done.result;
-    let mut env = Envelope::new("result");
-    if let Some(seq) = seq {
-        env = env.seq(seq);
-    }
-    env = env
+    let mut env = reply("result", seq)
         .field("experiment", Json::str(req.experiment.id()))
         .field("platform", Json::str(&req.platform))
         .field("fidelity", Json::str(req.fidelity.label()))
-        .field("status", Json::str(r.status.as_str()))
         .field(
             "cache",
             Json::str(if done.source.is_hit() { "hit" } else { "miss" }),
@@ -171,36 +245,53 @@ pub fn result_envelope(seq: Option<&str>, req: &Request, done: &Done) -> Envelop
         .field("elapsed_ms", Json::num(done.elapsed_ms as f64))
         .field("budget_ms", Json::num(done.budget_ms as f64))
         .field("over_budget", Json::Bool(done.over_budget));
-    if let Some(ms) = r.compute_ms {
+    if let Some(ms) = done.result.compute_ms {
         env = env.field("compute_ms", Json::num(ms as f64));
     }
-    if let Some(error) = &r.error {
-        env = env.field("error", Json::str(error));
+    encode_result(env, &done.result)
+}
+
+/// Renders one engine outcome as its response envelope.
+fn outcome_envelope(seq: Option<&str>, req: &Request, outcome: Outcome) -> Envelope {
+    match outcome {
+        Outcome::Done(done) => result_envelope(seq, req, &done),
+        Outcome::Busy { queued, backlog_ms } => reply("busy", seq)
+            .field("queued", Json::num(queued as f64))
+            .field("backlog_ms", Json::num(backlog_ms as f64)),
+        Outcome::Invalid(detail) => error_envelope(seq, error_code::INVALID_PLATFORM, detail),
+        Outcome::TimedOut {
+            waited_ms,
+            deadline_ms,
+        } => error_envelope(
+            seq,
+            error_code::TIMEOUT,
+            format!(
+                "request deadline of {deadline_ms} ms expired after \
+                 waiting {waited_ms} ms; retry later"
+            ),
+        )
+        .field("waited_ms", Json::num(waited_ms as f64))
+        .field("deadline_ms", Json::num(deadline_ms as f64)),
+        Outcome::Quota {
+            tenant,
+            retry_after_ms,
+        } => error_envelope(
+            seq,
+            error_code::QUOTA,
+            format!(
+                "tenant `{tenant}` is over its fair-share quota; \
+                 retry in {retry_after_ms} ms"
+            ),
+        )
+        .field("tenant", Json::str(tenant))
+        .field("retry_after_ms", Json::num(retry_after_ms as f64)),
     }
-    if let Some(detail) = &r.detail {
-        env = env.field("detail", Json::str(detail));
-    }
-    if !r.integrity.is_empty() {
-        env = env.field(
-            "integrity",
-            Json::Arr(r.integrity.iter().map(Json::str).collect()),
-        );
-    }
-    let artifacts = r
-        .tree
-        .iter()
-        .map(|(name, contents)| (name.clone(), Json::str(contents)))
-        .collect();
-    env.field("artifacts", Json::Obj(artifacts))
 }
 
 /// Renders a stats snapshot as a `stats` envelope.
 pub fn stats_envelope(seq: Option<&str>, s: &StatsSnapshot) -> Envelope {
-    let mut env = Envelope::new("stats");
-    if let Some(seq) = seq {
-        env = env.seq(seq);
-    }
-    env.field("mem_hits", Json::num(s.mem_hits as f64))
+    reply("stats", seq)
+        .field("mem_hits", Json::num(s.mem_hits as f64))
         .field("disk_hits", Json::num(s.disk_hits as f64))
         .field("hits", Json::num(s.hits() as f64))
         .field("misses", Json::num(s.misses as f64))
@@ -268,6 +359,69 @@ pub struct Dispatch {
     pub close: bool,
 }
 
+impl From<Envelope> for Dispatch {
+    fn from(reply: Envelope) -> Dispatch {
+        Dispatch {
+            reply,
+            shutdown: false,
+            close: false,
+        }
+    }
+}
+
+/// A failed proof of identity — a bad `auth` token or a missing fleet
+/// secret — answered `unauthorized` and charged to the session's
+/// [`MAX_FAILED_AUTHS`] budget: the connection survives a few, then
+/// closes.
+fn unauthorized(session: &mut Session, seq: Option<&str>, what: &str) -> Dispatch {
+    session.failed_auths += 1;
+    let close = session.failed_auths >= MAX_FAILED_AUTHS;
+    let detail = if close {
+        format!("{what}; {MAX_FAILED_AUTHS} failed attempts, closing the connection")
+    } else {
+        what.to_string()
+    };
+    Dispatch {
+        reply: error_envelope(seq, error_code::UNAUTHORIZED, detail),
+        shutdown: false,
+        close,
+    }
+}
+
+/// The fleet-secret gate: the secret-only commands (`join`, `leave`,
+/// `drain`, `replicate`, and a `ping` carrying a `fleet_token`) get the
+/// fleet when the request's token proves membership; anything else is
+/// [`unauthorized`]. `Ok(None)` for every other command.
+fn fleet_gate(
+    engine: &Engine,
+    session: &mut Session,
+    env: &Envelope,
+) -> Result<Option<Arc<Fleet>>, Dispatch> {
+    let token = env.get("fleet_token").and_then(Json::as_str);
+    let what = match env.kind.as_str() {
+        "ping" if token.is_some() => "an authenticated ping",
+        "join" | "leave" => "membership editing",
+        "drain" => "drain",
+        "replicate" => "replicate",
+        _ => return Ok(None),
+    };
+    let denied = || format!("{what} requires the fleet secret");
+    match engine.verify_peer(token) {
+        Some(fleet) => Ok(Some(fleet)),
+        None => Err(unauthorized(session, env.seq.as_deref(), &denied())),
+    }
+}
+
+/// `env` plus this node's live epoch, membership version and member
+/// list (as field `list`) — the membership block of `pong`, `joined`
+/// and `left`.
+fn with_membership(env: Envelope, fleet: &Fleet, list: &str) -> Envelope {
+    let (version, members) = fleet.members();
+    env.field("epoch", Json::num(fleet.epoch() as f64))
+        .field("version", Json::num(version as f64))
+        .field(list, Json::Arr(members.iter().map(Json::str).collect()))
+}
+
 /// Serves one request line against a connection's [`Session`]: parse,
 /// dispatch to the engine, render the response envelope. Never panics on
 /// client input; every failure mode maps to an `error` (or `busy`)
@@ -276,96 +430,48 @@ pub struct Dispatch {
 pub fn dispatch_session(engine: &Engine, session: &mut Session, line: &str) -> Dispatch {
     let env = match Envelope::parse_line(line) {
         Ok(env) => env,
-        Err(e) => {
+        Err(e) => return error_envelope(None, error_code::BAD_REQUEST, e.to_string()).into(),
+    };
+    let seq = env.seq.as_deref();
+    let fleet = match fleet_gate(engine, session, &env) {
+        Ok(fleet) => fleet,
+        Err(denied) => return denied,
+    };
+    match (env.kind.as_str(), fleet) {
+        // A plain ping stays the unauthenticated health check it always
+        // was.
+        ("ping", None) => reply("pong", seq),
+        ("ping", Some(fleet)) => {
+            // Gossip rides the ping in both directions: adopt the
+            // sender's member list when it is newer (this is how a
+            // cold-joined node learns the fleet), and answer with ours
+            // below so the sender can do the same.
+            if let Some(version) = env.get("version").and_then(Json::as_u64) {
+                fleet.adopt(version, &field_strs(&env, "members"));
+            }
+            // The ping itself proves the sender is alive: a restarted
+            // member is re-admitted by its own probes before ours next
+            // reach it.
+            if let Some(from) = env.get("from").and_then(Json::as_str) {
+                fleet.mark_success(from);
+            }
+            with_membership(reply("pong", seq), &fleet, "members")
+        }
+        ("stats", _) => stats_envelope(seq, &engine.stats()),
+        ("purge", _) => {
+            let (mem, disk) = engine.purge();
+            reply("purged", seq)
+                .field("memory_entries", Json::num(mem as f64))
+                .field("disk_entries", Json::num(disk as f64))
+        }
+        ("shutdown", _) => {
             return Dispatch {
-                reply: error_envelope(None, error_code::BAD_REQUEST, e.to_string()),
-                shutdown: false,
+                reply: reply("shutting-down", seq),
+                shutdown: true,
                 close: false,
             }
         }
-    };
-    let seq = env.seq.clone();
-    let seq = seq.as_deref();
-    let mut shutdown = false;
-    let mut close = false;
-    // Failed proofs of fleet membership (admin commands, authenticated
-    // pings) share the bad-`auth` brute-force budget: the connection
-    // survives a few, then closes.
-    let fleet_unauthorized = |session: &mut Session, close: &mut bool, what: &str| {
-        session.failed_auths += 1;
-        let detail = if session.failed_auths >= MAX_FAILED_AUTHS {
-            *close = true;
-            format!(
-                "{what} requires the fleet secret; {MAX_FAILED_AUTHS} failed attempts, \
-                 closing the connection"
-            )
-        } else {
-            format!("{what} requires the fleet secret")
-        };
-        error_envelope(seq, error_code::UNAUTHORIZED, detail)
-    };
-    let reply = match env.kind.as_str() {
-        "ping" => {
-            let mut pong = Envelope::new("pong");
-            if let Some(seq) = seq {
-                pong = pong.seq(seq);
-            }
-            match env.get("fleet_token").and_then(Json::as_str) {
-                // A plain ping stays the unauthenticated health check it
-                // always was.
-                None => pong,
-                Some(token) if engine.verify_peer(Some(token)) => {
-                    let fleet = engine.fleet().expect("verify_peer implies a fleet");
-                    // Gossip rides the ping in both directions: adopt the
-                    // sender's member list when it is newer (this is how a
-                    // cold-joined node learns the fleet), and answer with
-                    // ours below so the sender can do the same.
-                    if let (Some(version), Some(members)) = (
-                        env.get("version").and_then(Json::as_u64),
-                        env.get("members").and_then(Json::as_arr),
-                    ) {
-                        let members: Vec<String> = members
-                            .iter()
-                            .filter_map(|m| m.as_str().map(str::to_string))
-                            .collect();
-                        fleet.adopt(version, &members);
-                    }
-                    // The ping itself proves the sender is alive: a
-                    // restarted member is re-admitted by its own probes
-                    // before ours next reach it.
-                    if let Some(from) = env.get("from").and_then(Json::as_str) {
-                        fleet.mark_success(from);
-                    }
-                    let (version, members) = fleet.members();
-                    pong.field("epoch", Json::num(fleet.epoch() as f64))
-                        .field("version", Json::num(version as f64))
-                        .field(
-                            "members",
-                            Json::Arr(members.iter().map(Json::str).collect()),
-                        )
-                }
-                Some(_) => fleet_unauthorized(session, &mut close, "an authenticated ping"),
-            }
-        }
-        "stats" => stats_envelope(seq, &engine.stats()),
-        "purge" => {
-            let (mem, disk) = engine.purge();
-            let mut env = Envelope::new("purged");
-            if let Some(seq) = seq {
-                env = env.seq(seq);
-            }
-            env.field("memory_entries", Json::num(mem as f64))
-                .field("disk_entries", Json::num(disk as f64))
-        }
-        "shutdown" => {
-            shutdown = true;
-            let mut env = Envelope::new("shutting-down");
-            if let Some(seq) = seq {
-                env = env.seq(seq);
-            }
-            env
-        }
-        "auth" => match env.get("token").and_then(Json::as_str) {
+        ("auth", _) => match env.get("token").and_then(Json::as_str) {
             None => error_envelope(
                 seq,
                 error_code::BAD_REQUEST,
@@ -375,185 +481,62 @@ pub fn dispatch_session(engine: &Engine, session: &mut Session, line: &str) -> D
                 Some((tenant, weight)) => {
                     session.tenant = tenant.clone();
                     session.failed_auths = 0;
-                    let mut env = Envelope::new("authed");
-                    if let Some(seq) = seq {
-                        env = env.seq(seq);
-                    }
-                    env.field("tenant", Json::str(tenant))
+                    reply("authed", seq)
+                        .field("tenant", Json::str(tenant))
                         .field("weight", Json::num(weight))
                 }
-                None => {
-                    session.failed_auths += 1;
-                    if session.failed_auths >= MAX_FAILED_AUTHS {
-                        close = true;
-                        error_envelope(
-                            seq,
-                            error_code::UNAUTHORIZED,
-                            format!(
-                                "unknown token; {MAX_FAILED_AUTHS} failed auth attempts, \
-                                 closing the connection"
-                            ),
-                        )
-                    } else {
-                        error_envelope(
-                            seq,
-                            error_code::UNAUTHORIZED,
-                            "unknown token; the connection remains anonymous",
-                        )
-                    }
-                }
+                None => return unauthorized(session, seq, "unknown token"),
             },
         },
-        "run" => match parse_run_request(&env) {
+        ("run", _) => match parse_run_request(&env) {
             Err(error) => *error,
             Ok(req) => {
-                // A `peer` claim is only honored with proof of fleet
-                // membership; anyone else is charged like an ordinary
-                // tenant request.
-                let peer = env.get("peer").and_then(Json::as_bool).unwrap_or(false)
-                    && engine.verify_peer(env.get("fleet_token").and_then(Json::as_str));
-                let opts = SubmitOpts {
-                    tenant: &session.tenant,
-                    peer,
+                // A run whose fleet token verifies is a peer fetch: the
+                // secret already grants every admin command, so its
+                // quota exemption adds no privilege.
+                let token = env.get("fleet_token").and_then(Json::as_str);
+                let tenant = match engine.verify_peer(token) {
+                    Some(_) => FLEET_TENANT,
+                    None => &session.tenant,
                 };
-                match engine.submit_with(&req, &opts) {
-                    Outcome::Done(done) => result_envelope(seq, &req, &done),
-                    Outcome::Busy { queued, backlog_ms } => {
-                        let mut env = Envelope::new("busy");
-                        if let Some(seq) = seq {
-                            env = env.seq(seq);
-                        }
-                        env.field("queued", Json::num(queued as f64))
-                            .field("backlog_ms", Json::num(backlog_ms as f64))
-                    }
-                    Outcome::Invalid(detail) => {
-                        error_envelope(seq, error_code::INVALID_PLATFORM, detail)
-                    }
-                    Outcome::TimedOut {
-                        waited_ms,
-                        deadline_ms,
-                    } => error_envelope(
-                        seq,
-                        error_code::TIMEOUT,
-                        format!(
-                            "request deadline of {deadline_ms} ms expired after \
-                             waiting {waited_ms} ms; retry later"
-                        ),
-                    )
-                    .field("waited_ms", Json::num(waited_ms as f64))
-                    .field("deadline_ms", Json::num(deadline_ms as f64)),
-                    Outcome::Quota {
-                        tenant,
-                        retry_after_ms,
-                    } => error_envelope(
-                        seq,
-                        error_code::QUOTA,
-                        format!(
-                            "tenant `{tenant}` is over its fair-share quota; \
-                             retry in {retry_after_ms} ms"
-                        ),
-                    )
-                    .field("tenant", Json::str(tenant))
-                    .field("retry_after_ms", Json::num(retry_after_ms as f64)),
-                }
+                outcome_envelope(seq, &req, engine.submit_with(&req, tenant))
             }
         },
-        kind @ ("join" | "leave") => match env.get("fleet_token").and_then(Json::as_str) {
-            Some(token) if engine.verify_peer(Some(token)) => {
-                let fleet = engine.fleet().expect("verify_peer implies a fleet");
-                match env.get("peer").and_then(Json::as_str) {
-                    None => error_envelope(
-                        seq,
-                        error_code::BAD_REQUEST,
-                        format!("{kind} request lacks a string `peer` field"),
-                    ),
-                    Some(peer) => {
-                        let changed = if kind == "join" {
-                            fleet.join(peer)
-                        } else {
-                            fleet.leave(peer)
-                        };
-                        let (version, members) = fleet.members();
-                        let mut reply =
-                            Envelope::new(if kind == "join" { "joined" } else { "left" });
-                        if let Some(seq) = seq {
-                            reply = reply.seq(seq);
-                        }
-                        reply
-                            .field("changed", Json::Bool(changed))
-                            .field("epoch", Json::num(fleet.epoch() as f64))
-                            .field("version", Json::num(version as f64))
-                            .field(
-                                "peers",
-                                Json::Arr(members.iter().map(Json::str).collect()),
-                            )
-                    }
-                }
+        (kind @ ("join" | "leave"), Some(fleet)) => match env.get("peer").and_then(Json::as_str) {
+            None => error_envelope(
+                seq,
+                error_code::BAD_REQUEST,
+                format!("{kind} request lacks a string `peer` field"),
+            ),
+            Some(peer) => {
+                let (changed, done) = if kind == "join" {
+                    (fleet.join(peer), "joined")
+                } else {
+                    (fleet.leave(peer), "left")
+                };
+                let env = reply(done, seq).field("changed", Json::Bool(changed));
+                with_membership(env, &fleet, "peers")
             }
-            _ => fleet_unauthorized(session, &mut close, "membership editing"),
         },
-        "drain" => match env.get("fleet_token").and_then(Json::as_str) {
-            Some(token) if engine.verify_peer(Some(token)) => {
-                engine.set_draining(true);
-                let mut reply = Envelope::new("draining");
-                if let Some(seq) = seq {
-                    reply = reply.seq(seq);
-                }
-                reply
-            }
-            _ => fleet_unauthorized(session, &mut close, "drain"),
-        },
-        "replicate" => match env.get("fleet_token").and_then(Json::as_str) {
-            Some(token) if engine.verify_peer(Some(token)) => match parse_run_request(&env) {
-                Err(error) => *error,
-                Ok(req) => {
-                    let status = env.get("status").and_then(Json::as_str).unwrap_or("pass");
-                    match status_from_str(status) {
-                        None => error_envelope(
-                            seq,
-                            error_code::BAD_REQUEST,
-                            format!("replicate request carries unknown status `{status}`"),
-                        ),
-                        Some(status) => {
-                            let owned = |j: &Json| j.as_str().map(str::to_string);
-                            let result = CachedResult {
-                                status,
-                                error: env.get("error").and_then(&owned),
-                                detail: env.get("detail").and_then(&owned),
-                                integrity: env
-                                    .get("integrity")
-                                    .and_then(Json::as_arr)
-                                    .map(|a| a.iter().filter_map(owned).collect())
-                                    .unwrap_or_default(),
-                                // Replicas never carry the owner's compute
-                                // timing: like a disk reload, the copy is
-                                // provenance-stripped.
-                                compute_ms: None,
-                                tree: env
-                                    .get("artifacts")
-                                    .and_then(Json::as_obj)
-                                    .map(|o| {
-                                        o.iter()
-                                            .filter_map(|(k, v)| {
-                                                v.as_str().map(|s| (k.clone(), s.to_string()))
-                                            })
-                                            .collect()
-                                    })
-                                    .unwrap_or_default(),
-                            };
-                            let installed = engine.install_replica(&req, result);
-                            let mut reply = Envelope::new("replicated");
-                            if let Some(seq) = seq {
-                                reply = reply.seq(seq);
-                            }
-                            reply.field("installed", Json::Bool(installed))
-                        }
-                    }
-                }
+        ("drain", Some(_)) => {
+            engine.set_draining(true);
+            reply("draining", seq)
+        }
+        ("replicate", Some(_)) => match parse_run_request(&env) {
+            Err(error) => *error,
+            Ok(req) => match decode_result(&env) {
+                Err(e) => error_envelope(
+                    seq,
+                    error_code::BAD_REQUEST,
+                    format!("replicate request: {e}"),
+                ),
+                Ok(result) => reply("replicated", seq).field(
+                    "installed",
+                    Json::Bool(engine.install_replica(&req, result)),
+                ),
             },
-            _ => fleet_unauthorized(session, &mut close, "replicate"),
         },
-        other => error_envelope(
+        (other, _) => error_envelope(
             seq,
             error_code::UNKNOWN_COMMAND,
             format!(
@@ -561,12 +544,8 @@ pub fn dispatch_session(engine: &Engine, session: &mut Session, line: &str) -> D
                  leave, drain, replicate, or shutdown)"
             ),
         ),
-    };
-    Dispatch {
-        reply,
-        shutdown,
-        close,
     }
+    .into()
 }
 
 /// [`dispatch_session`] against a fresh anonymous session — for callers
@@ -587,12 +566,18 @@ mod tests {
     use crate::engine::EngineConfig;
     use experiments::output::ExperimentOutput;
 
-    fn test_engine() -> Engine {
-        Engine::with_compute(EngineConfig::default(), |e, platform, fidelity| {
+    /// An engine over `cfg` whose experiment bodies return one cell
+    /// naming the request tuple.
+    fn stub_engine(cfg: EngineConfig) -> Engine {
+        Engine::with_compute(cfg, |e, platform, fidelity| {
             let mut out = ExperimentOutput::new(e.id(), e.title());
             out.finding("cell", format!("{}@{platform}/{}", e.id(), fidelity.label()));
             out
         })
+    }
+
+    fn test_engine() -> Engine {
+        stub_engine(EngineConfig::default())
     }
 
     #[test]
@@ -706,11 +691,7 @@ mod tests {
             auth,
             ..EngineConfig::default()
         };
-        let engine = Engine::with_compute(cfg, |e, platform, fidelity| {
-            let mut out = ExperimentOutput::new(e.id(), e.title());
-            out.finding("cell", format!("{}@{platform}/{}", e.id(), fidelity.label()));
-            out
-        });
+        let engine = stub_engine(cfg);
         let mut session = Session::default();
         let wrong = dispatch_session(
             &engine,
@@ -793,11 +774,7 @@ mod tests {
             )),
             ..EngineConfig::default()
         };
-        let engine = Engine::with_compute(cfg, |e, platform, fidelity| {
-            let mut out = ExperimentOutput::new(e.id(), e.title());
-            out.finding("cell", format!("{}@{platform}/{}", e.id(), fidelity.label()));
-            out
-        });
+        let engine = stub_engine(cfg);
         let run = r#"{"v":1,"kind":"run","experiment":"E1"}"#;
         assert_eq!(dispatch_line(&engine, run).kind, "result");
         assert_eq!(
@@ -814,12 +791,15 @@ mod tests {
         // A fleet-internal fetch proving membership must still be
         // served: the ingress node already charged the originating
         // tenant. It is accounted under the `fleet` ledger line, not
-        // the anonymous tenant.
-        let peer = dispatch_line(
-            &engine,
+        // the anonymous tenant. The token alone makes a run a peer
+        // fetch; any `peer` field is ignored.
+        for line in [
             r#"{"v":1,"kind":"run","experiment":"E1","peer":true,"fleet_token":"s3cret-fleet"}"#,
-        );
-        assert_eq!(peer.kind, "result", "{}", peer.to_line());
+            r#"{"v":1,"kind":"run","experiment":"E1","fleet_token":"s3cret-fleet"}"#,
+        ] {
+            let peer = dispatch_line(&engine, line);
+            assert_eq!(peer.kind, "result", "{}", peer.to_line());
+        }
         let stats = dispatch_line(&engine, r#"{"v":1,"kind":"stats"}"#);
         let tenants = stats.get("tenants").expect("tenants block");
         assert_eq!(
@@ -827,7 +807,7 @@ mod tests {
                 .get(crate::auth::FLEET_TENANT)
                 .and_then(|t| t.get("served"))
                 .and_then(Json::as_u64),
-            Some(1),
+            Some(2),
             "peer-served requests belong to the fleet ledger line"
         );
         assert_eq!(
@@ -874,11 +854,7 @@ mod tests {
             )),
             ..EngineConfig::default()
         };
-        Engine::with_compute(cfg, |e, platform, fidelity| {
-            let mut out = ExperimentOutput::new(e.id(), e.title());
-            out.finding("cell", format!("{}@{platform}/{}", e.id(), fidelity.label()));
-            out
-        })
+        stub_engine(cfg)
     }
 
     #[test]
@@ -1031,6 +1007,43 @@ mod tests {
             bad.get("code").unwrap().as_str(),
             Some(error_code::BAD_REQUEST)
         );
+    }
+
+    #[test]
+    fn replicate_round_trips_every_result_field_through_the_codec() {
+        use experiments::manifest::RunStatus;
+        let engine = three_node_fleet_engine();
+        let req = Request::new(Experiment::E5, "snb+drift=0.12", Fidelity::Quick);
+        let pushed = CachedResult {
+            status: RunStatus::Degraded,
+            error: Some("integrity".to_string()),
+            detail: Some("roof-violation; clock-skew".to_string()),
+            integrity: vec!["roof-violation".to_string(), "clock-skew".to_string()],
+            compute_ms: None,
+            tree: [("a.csv", "x,y\n1,2\n"), ("b.txt", "\"quoted\" ☃")]
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+        };
+        // The push exactly as `Fleet::replicate` builds it.
+        let env = Envelope::new("replicate")
+            .field("fleet_token", Json::str("s3cret-fleet"))
+            .field("experiment", Json::str(req.experiment.id()))
+            .field("platform", Json::str(&req.platform))
+            .field("fidelity", Json::str(req.fidelity.label()));
+        let line = encode_result(env, &pushed).to_line();
+        assert_eq!(
+            decode_result(&Envelope::parse_line(&line).unwrap()),
+            Ok(pushed.clone())
+        );
+        let reply = dispatch_line(&engine, &line);
+        assert_eq!(reply.get("installed").unwrap().as_bool(), Some(true));
+        // The installed copy serves back with every field intact.
+        let Outcome::Done(done) = engine.submit(&req) else {
+            panic!("replica must serve");
+        };
+        assert_eq!(done.source.as_str(), "mem");
+        assert_eq!(*done.result, pushed);
     }
 
     #[test]

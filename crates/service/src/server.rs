@@ -33,7 +33,6 @@
 //!   stop; use `roofctl shutdown` for a clean one.)
 
 use crate::engine::Engine;
-use crate::faults::{FaultLottery, ServiceFaults};
 use crate::fleet::HealthProber;
 use crate::protocol::{dispatch_session, error_code, error_envelope, Session};
 use roofline_core::json::{Envelope, Json};
@@ -59,9 +58,6 @@ pub struct ServerConfig {
     /// Concurrent-connection cap; excess peers are shed with a `busy`
     /// envelope.
     pub max_connections: usize,
-    /// Fault-injection knobs (mid-request disconnect) for the chaos
-    /// harness; disabled by default.
-    pub faults: ServiceFaults,
 }
 
 impl Default for ServerConfig {
@@ -71,7 +67,6 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(30),
             max_line_bytes: 1 << 20,
             max_connections: 256,
-            faults: ServiceFaults::default(),
         }
     }
 }
@@ -107,7 +102,6 @@ pub struct Server {
     engine: Engine,
     cfg: ServerConfig,
     shutdown: Arc<AtomicBool>,
-    lottery: Arc<FaultLottery>,
 }
 
 impl Server {
@@ -138,13 +132,11 @@ impl Server {
     /// node's port *before* building the engines behind them (a fleet's
     /// peer list names addresses the engines are configured with).
     pub fn from_listener(listener: TcpListener, engine: Engine, cfg: ServerConfig) -> Server {
-        let lottery = Arc::new(cfg.faults.lottery());
         Server {
             listener,
             engine,
             cfg,
             shutdown: Arc::new(AtomicBool::new(false)),
-            lottery,
         }
     }
 
@@ -174,6 +166,22 @@ impl Server {
     /// Propagates only listener-setup failures; per-connection errors
     /// are contained to their connection.
     pub fn serve(self) -> io::Result<()> {
+        self.accept_loop(None)
+    }
+
+    /// [`Server::serve`] that stops accepting after exactly `n` served
+    /// connections (shed ones do not count), then drains and returns —
+    /// the deterministic variant the e2e tests and `roofd --connections`
+    /// use so the server thread can be joined instead of killed.
+    ///
+    /// # Errors
+    ///
+    /// As [`Server::serve`].
+    pub fn serve_n(self, n: usize) -> io::Result<()> {
+        self.accept_loop(Some(n))
+    }
+
+    fn accept_loop(self, limit: Option<usize>) -> io::Result<()> {
         // Non-blocking accept so the loop can observe the shutdown flag
         // without a wedging `accept()` call in the way.
         self.listener.set_nonblocking(true)?;
@@ -181,8 +189,9 @@ impl Server {
         // prober stops (via Drop) when the accept loop exits.
         let _prober = self.engine.fleet().map(HealthProber::spawn);
         let active = Arc::new(AtomicUsize::new(0));
+        let mut served = 0;
         let mut workers: Vec<thread::JoinHandle<()>> = Vec::new();
-        while !self.shutdown.load(Ordering::SeqCst) {
+        while !self.shutdown.load(Ordering::SeqCst) && limit.is_none_or(|n| served < n) {
             workers.retain(|w| !w.is_finished());
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
@@ -191,16 +200,14 @@ impl Server {
                         shed(stream, &self.cfg);
                         continue;
                     }
+                    served += 1;
                     active.fetch_add(1, Ordering::SeqCst);
                     let engine = self.engine.clone();
                     let cfg = self.cfg.clone();
                     let shutdown = Arc::clone(&self.shutdown);
-                    let lottery = Arc::clone(&self.lottery);
                     let active = Arc::clone(&active);
                     workers.push(thread::spawn(move || {
-                        if let Err(e) =
-                            serve_connection(stream, &engine, &cfg, &shutdown, &lottery)
-                        {
+                        if let Err(e) = serve_connection(stream, &engine, &cfg, &shutdown) {
                             // A vanished client is normal; log and move on.
                             eprintln!("roofd: connection ended: {e}");
                         }
@@ -215,34 +222,6 @@ impl Server {
         }
         // Drain: no new connections; workers notice the flag at their
         // next poll quantum and finish their in-flight request first.
-        for worker in workers {
-            let _ = worker.join();
-        }
-        Ok(())
-    }
-
-    /// Accepts and serves exactly `n` connections, then returns — the
-    /// deterministic variant the e2e tests use so the server thread can
-    /// be joined instead of killed. Connections get the same hardened
-    /// per-connection handling as [`Server::serve`], but no shed gate:
-    /// tests rely on every accepted connection being served.
-    ///
-    /// # Errors
-    ///
-    /// Propagates accept failures (unlike [`Server::serve`], which logs
-    /// them, a test wants to fail loudly).
-    pub fn serve_n(self, n: usize) -> io::Result<()> {
-        let mut workers = Vec::new();
-        for _ in 0..n {
-            let (stream, _peer) = self.listener.accept()?;
-            let engine = self.engine.clone();
-            let cfg = self.cfg.clone();
-            let shutdown = Arc::clone(&self.shutdown);
-            let lottery = Arc::clone(&self.lottery);
-            workers.push(thread::spawn(move || {
-                serve_connection(stream, &engine, &cfg, &shutdown, &lottery)
-            }));
-        }
         for worker in workers {
             let _ = worker.join();
         }
@@ -271,7 +250,6 @@ fn serve_connection(
     engine: &Engine,
     cfg: &ServerConfig,
     shutdown: &AtomicBool,
-    lottery: &FaultLottery,
 ) -> io::Result<()> {
     // On some platforms an accepted socket inherits the listener's
     // non-blocking flag; reads below rely on blocking-with-timeout.
@@ -299,7 +277,7 @@ fn serve_connection(
                 continue;
             }
             let d = dispatch_session(engine, &mut session, line);
-            if lottery.disconnect() {
+            if engine.lottery().disconnect() {
                 // Chaos: the peer sees its connection die after the
                 // request was read but before the response is written.
                 return Ok(());

@@ -17,7 +17,7 @@ use experiments::registry::Experiment;
 use experiments::snapshot::{diff_trees, read_tree};
 use experiments::sweep::run_one;
 use roofline_service::cache::QUARANTINE_DIR;
-use roofline_service::client::{run_with_retries, Client, ClientError, RetryPolicy};
+use roofline_service::client::{run_with_retries, Client, ClientError, RetryPolicy, RunOpts};
 use roofline_service::engine::{Engine, EngineConfig, Outcome, Request};
 use roofline_service::faults::ServiceFaults;
 use roofline_service::server::{Server, ServerConfig};
@@ -309,12 +309,12 @@ fn oversized_line_is_refused_at_the_cap() {
 /// protocol error or panic.
 #[test]
 fn mid_request_disconnect_is_a_retryable_error() {
-    let cfg = ServerConfig {
+    let cfg = EngineConfig {
         faults: ServiceFaults::parse("disconnect=1").expect("spec"),
-        ..ServerConfig::default()
+        ..EngineConfig::default()
     };
-    let engine = Engine::with_compute(EngineConfig::default(), stub_compute);
-    let server = Server::bind_with("127.0.0.1:0", engine, cfg).expect("bind");
+    let engine = Engine::with_compute(cfg, stub_compute);
+    let server = Server::bind("127.0.0.1:0", engine).expect("bind");
     let addr = server.local_addr().expect("addr");
     let server = std::thread::spawn(move || server.serve_n(1));
 
@@ -337,11 +337,13 @@ fn retrying_client_eventually_succeeds_against_transient_failures() {
     let cfg = ServerConfig {
         read_timeout: Duration::from_millis(500),
         max_connections: 1,
-        faults: ServiceFaults::parse("disconnect=0.4,seed=11").expect("spec"),
         ..ServerConfig::default()
     };
-    let server = Server::bind_with("127.0.0.1:0", Engine::new(EngineConfig::default()), cfg)
-        .expect("bind");
+    let engine_cfg = EngineConfig {
+        faults: ServiceFaults::parse("disconnect=0.4,seed=11").expect("spec"),
+        ..EngineConfig::default()
+    };
+    let server = Server::bind_with("127.0.0.1:0", Engine::new(engine_cfg), cfg).expect("bind");
     let addr = server.local_addr().expect("addr");
     let handle = server.shutdown_handle();
     let server = std::thread::spawn(move || server.serve());
@@ -359,11 +361,10 @@ fn retrying_client_eventually_succeeds_against_transient_failures() {
     };
     let reply = run_with_retries(
         addr,
-        Experiment::E5,
-        "snb",
-        Fidelity::Quick,
+        &RunOpts::new(Experiment::E5, "snb", Fidelity::Quick),
         &policy,
         Some(Duration::from_secs(10)),
+        None,
     )
     .expect("retries must eventually succeed");
     assert_identical("retried response", &reference, &reply.artifacts);
@@ -449,7 +450,6 @@ fn chaos_storm_from_env() {
     let server_cfg = ServerConfig {
         read_timeout: Duration::from_millis(700),
         max_connections: 8,
-        faults: faults.clone(),
         ..ServerConfig::default()
     };
     let server =
@@ -475,11 +475,10 @@ fn chaos_storm_from_env() {
                 };
                 run_with_retries(
                     addr,
-                    Experiment::E1,
-                    "snb",
-                    Fidelity::Quick,
+                    &RunOpts::new(Experiment::E1, "snb", Fidelity::Quick),
                     &policy,
                     Some(Duration::from_secs(15)),
+                    None,
                 )
             })
         })

@@ -152,6 +152,7 @@ impl<'m> Cpu<'m> {
     /// # Panics
     ///
     /// Panics if `dsts` is empty.
+    #[allow(clippy::too_many_arguments)]
     pub fn fp_run(
         &mut self,
         op: FpOp,
@@ -505,7 +506,7 @@ impl<'m> Cpu<'m> {
     ) -> Option<FpJump> {
         let iwf = self.cfg.issue_width as f64;
         let df = b.front - a.front;
-        if !(df > 0.0) || df.fract() != 0.0 {
+        if df.is_nan() || df <= 0.0 || df.fract() != 0.0 {
             return None;
         }
         let delta = df as u64;
@@ -521,10 +522,10 @@ impl<'m> Cpu<'m> {
             return None;
         }
         let mut shifting = [false; Reg::COUNT];
-        for i in 0..Reg::COUNT {
+        for (i, shift) in shifting.iter_mut().enumerate() {
             let (ra, rb) = (a.reg[i], b.reg[i]);
             if rb == ra + df && dyadic(rb) {
-                shifting[i] = true;
+                *shift = true;
             } else if !(rb == ra && ra <= a.front) {
                 // A constant register must also never win a readiness max
                 // again: `ra <= front` keeps it dominated by dispatch.

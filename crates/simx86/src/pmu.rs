@@ -648,8 +648,10 @@ mod tests {
     #[should_panic(expected = "out of order")]
     fn hier_out_of_order_snapshots_panic() {
         let later = sample_hier();
-        let mut earlier = HierCounters::default();
-        earlier.line_bytes = 64;
+        let earlier = HierCounters {
+            line_bytes: 64,
+            ..HierCounters::default()
+        };
         let _ = earlier.since(&later);
     }
 
