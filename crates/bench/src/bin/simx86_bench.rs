@@ -115,34 +115,5 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     eprintln!("wrote {}", args.out);
-
-    // Every run also appends one dated line to the sibling history log, so
-    // the perf trajectory across PRs survives the snapshot being
-    // regenerated in place.
-    let history = match args.out.strip_suffix(".json") {
-        Some(stem) => format!("{stem}.history.jsonl"),
-        None => format!("{}.history.jsonl", args.out),
-    };
-    let line = harness::render_history_line(
-        &micro,
-        &service,
-        &sweeps,
-        &harness::utc_date_today(),
-        args.scale,
-    );
-    match std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&history)
-        .and_then(|mut f| f.write_all(line.as_bytes()))
-    {
-        Ok(()) => {
-            eprintln!("appended {history}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("failed to append {history}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    ExitCode::SUCCESS
 }

@@ -314,62 +314,6 @@ pub mod harness {
         s
     }
 
-    /// One dated line for `BENCH_simx86.history.jsonl`: the same
-    /// measurements as the main document, flattened to a single
-    /// schema-versioned object so successive runs append cheaply and
-    /// later format changes can coexist in one file.
-    pub fn render_history_line(
-        micro: &[MicroResult],
-        service: &[MicroResult],
-        sweeps: &[SweepResult],
-        date: &str,
-        scale: u64,
-    ) -> String {
-        let mut s = format!("{{\"schema\": 1, \"date\": \"{date}\", \"scale\": {scale}, \"micro\": {{");
-        for (i, r) in micro.iter().chain(service).enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{}\": {:.2}", r.id, r.mops_per_s));
-        }
-        s.push_str("}, \"sweep_wall_ms\": {");
-        for (i, r) in sweeps.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{}\": {}", r.fidelity, r.wall_ms));
-        }
-        s.push_str("}}\n");
-        s
-    }
-
-    /// Proleptic-Gregorian date for a day count since 1970-01-01
-    /// (days-to-civil conversion; exact for any non-negative day count).
-    fn civil_from_days(days: u64) -> String {
-        let z = days + 719_468;
-        let era = z / 146_097;
-        let doe = z - era * 146_097;
-        let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-        let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-        let mp = (5 * doy + 2) / 153;
-        let d = doy - (153 * mp + 2) / 5 + 1;
-        let (y, m) = if mp < 10 {
-            (yoe + era * 400, mp + 3)
-        } else {
-            (yoe + era * 400 + 1, mp - 9)
-        };
-        format!("{y:04}-{m:02}-{d:02}")
-    }
-
-    /// Today's UTC date, `YYYY-MM-DD`, without a calendar dependency.
-    pub fn utc_date_today() -> String {
-        let secs = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        civil_from_days(secs / 86_400)
-    }
-
     #[cfg(test)]
     mod tests {
         use super::*;
@@ -380,40 +324,6 @@ pub mod harness {
                 assert!(r.mops_per_s > 0.0, "{} reported no rate", r.id);
                 assert!(r.ops > 0);
             }
-        }
-
-        #[test]
-        fn civil_dates_match_the_calendar() {
-            assert_eq!(civil_from_days(0), "1970-01-01");
-            assert_eq!(civil_from_days(20_000), "2024-10-04");
-            assert_eq!(civil_from_days(20_662), "2026-07-28");
-            assert_eq!(utc_date_today().len(), 10);
-        }
-
-        #[test]
-        fn history_line_is_one_dated_json_object() {
-            let micro = vec![MicroResult {
-                id: "dram_stream",
-                mops_per_s: 14.75,
-                ops: 300_000,
-            }];
-            let service = vec![MicroResult {
-                id: "service_cached_hit",
-                mops_per_s: 1.75,
-                ops: 30_000,
-            }];
-            let sweeps = vec![SweepResult {
-                fidelity: "quick",
-                wall_ms: 8_000,
-                experiments: 18,
-            }];
-            let line = render_history_line(&micro, &service, &sweeps, "2026-08-08", 200_000);
-            assert!(line.ends_with("}\n"));
-            assert_eq!(line.lines().count(), 1);
-            assert!(line.contains("\"schema\": 1"));
-            assert!(line.contains("\"date\": \"2026-08-08\""));
-            assert!(line.contains("\"dram_stream\": 14.75, \"service_cached_hit\": 1.75"));
-            assert!(line.contains("\"sweep_wall_ms\": {\"quick\": 8000}"));
         }
 
         #[test]

@@ -22,7 +22,6 @@
 use experiments::platforms::Fidelity;
 use experiments::registry::Experiment;
 use roofline_service::client::{run_with_retries, Client, ClientError, RetryPolicy, RunOpts};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -110,6 +109,13 @@ pub struct TenantSpec {
     pub name: String,
 }
 
+/// Per-attempt I/O bound of every request and `stats` read.
+const TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Attempts per request; transient failures back off with the client's
+/// seeded jitter.
+const ATTEMPTS: u32 = 3;
+
 /// Everything one workload run needs.
 #[derive(Debug, Clone)]
 pub struct WorkloadConfig {
@@ -126,16 +132,6 @@ pub struct WorkloadConfig {
     pub zipf_s: f64,
     /// Tenant lanes; sessions round-robin over them.
     pub tenants: Vec<TenantSpec>,
-    /// Per-attempt I/O bound.
-    pub timeout: Duration,
-    /// Retry attempts per request (transient failures back off with the
-    /// client's seeded jitter).
-    pub attempts: u32,
-    /// Shared issued-request counter, bumped once per request after its
-    /// outcome is settled — the churn controller in `roofd_loadgen`
-    /// keys its kill/restart thresholds off it. `None` skips the
-    /// bookkeeping.
-    pub progress: Option<Arc<AtomicU64>>,
 }
 
 impl WorkloadConfig {
@@ -152,9 +148,6 @@ impl WorkloadConfig {
                 token: None,
                 name: "anon".to_string(),
             }],
-            timeout: Duration::from_secs(60),
-            attempts: 3,
-            progress: None,
         }
     }
 }
@@ -302,7 +295,7 @@ pub fn run_workload(cfg: &WorkloadConfig) -> FleetReport {
             let mut addr_idx = c % cfg.addrs.len();
             let tenant = cfg.tenants[c % cfg.tenants.len()].clone();
             let policy = RetryPolicy {
-                attempts: cfg.attempts.max(1),
+                attempts: ATTEMPTS,
                 base_ms: 20,
                 cap_ms: 500,
                 seed: cfg.seed ^ (c as u64),
@@ -322,7 +315,7 @@ pub fn run_workload(cfg: &WorkloadConfig) -> FleetReport {
                     cfg.addrs[addr_idx].as_str(),
                     &opts,
                     &policy,
-                    Some(cfg.timeout),
+                    Some(TIMEOUT),
                     None,
                 );
                 // A dead pinned node must cost latency, not correctness:
@@ -336,7 +329,7 @@ pub fn run_workload(cfg: &WorkloadConfig) -> FleetReport {
                         cfg.addrs[addr_idx].as_str(),
                         &opts,
                         &policy,
-                        Some(cfg.timeout),
+                        Some(TIMEOUT),
                         None,
                     );
                     rotations += 1;
@@ -351,9 +344,6 @@ pub fn run_workload(cfg: &WorkloadConfig) -> FleetReport {
                         out.quota_rejected += 1;
                     }
                     Err(_) => out.errors += 1,
-                }
-                if let Some(progress) = &cfg.progress {
-                    progress.fetch_add(1, Ordering::Relaxed);
                 }
             }
             out
@@ -386,7 +376,7 @@ pub fn run_workload(cfg: &WorkloadConfig) -> FleetReport {
         .addrs
         .iter()
         .enumerate()
-        .map(|(i, addr)| read_node_stats(addr, &format!("node{i}"), cfg.timeout))
+        .map(|(i, addr)| read_node_stats(addr, &format!("node{i}")))
         .collect();
     let completed: u64 = per_node.iter().map(|n| n.completed).sum();
     let peer_hits: u64 = per_node.iter().map(|n| n.peer_hits).sum();
@@ -416,12 +406,12 @@ pub fn run_workload(cfg: &WorkloadConfig) -> FleetReport {
 
 /// Reads one node's counters; a vanished node reports zeros rather than
 /// sinking the whole report.
-fn read_node_stats(addr: &str, label: &str, timeout: Duration) -> NodeStats {
+fn read_node_stats(addr: &str, label: &str) -> NodeStats {
     let mut stats = NodeStats {
         node: label.to_string(),
         ..NodeStats::default()
     };
-    let Ok(mut client) = Client::connect_with(addr, Some(timeout)) else {
+    let Ok(mut client) = Client::connect_with(addr, Some(TIMEOUT)) else {
         return stats;
     };
     let Ok(reply) = client.stats_raw() else {

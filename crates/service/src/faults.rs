@@ -195,11 +195,6 @@ pub struct FaultLottery {
 }
 
 impl FaultLottery {
-    /// The configuration this lottery draws from.
-    pub fn config(&self) -> &ServiceFaults {
-        &self.cfg
-    }
-
     /// Next raw draw; the mutex is poison-recovering so a panicked
     /// holder cannot wedge fault decisions (`crate::sync::lock`).
     fn next_u64(&self) -> u64 {

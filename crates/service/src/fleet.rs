@@ -72,7 +72,7 @@ use crate::protocol::encode_result;
 use crate::sync::lock;
 use roofline_core::json::{Envelope, Json};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -506,7 +506,9 @@ impl Fleet {
 /// membership from the pongs. Dropping the prober stops the thread.
 #[derive(Debug)]
 pub struct HealthProber {
-    stop: Arc<AtomicBool>,
+    /// Never sent on; dropping it disconnects the channel, which is the
+    /// thread's stop signal.
+    stop: Option<Sender<()>>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -515,37 +517,30 @@ impl HealthProber {
     /// beyond this node at spawn time) still probes — `join` can add
     /// members later.
     pub fn spawn(fleet: Arc<Fleet>) -> HealthProber {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let thread = std::thread::spawn(move || {
-            while !flag.load(Ordering::Relaxed) {
-                for peer in fleet.probe_targets() {
-                    if flag.load(Ordering::Relaxed) {
-                        return;
+        let (stop, stopped) = mpsc::channel::<()>();
+        let thread = std::thread::spawn(move || loop {
+            for peer in fleet.probe_targets() {
+                if let Err(TryRecvError::Disconnected) = stopped.try_recv() {
+                    return;
+                }
+                match Self::probe_one(&fleet, &peer) {
+                    Ok((version, members)) => {
+                        fleet.mark_success(&peer);
+                        fleet.adopt(version, &members);
                     }
-                    match Self::probe_one(&fleet, &peer) {
-                        Ok((version, members)) => {
-                            fleet.mark_success(&peer);
-                            fleet.adopt(version, &members);
-                        }
-                        Err(_) => {
-                            fleet.mark_failure(&peer);
-                        }
+                    Err(_) => {
+                        fleet.mark_failure(&peer);
                     }
                 }
-                // Sleep in short slices so drop() never blocks a full
-                // probe interval.
-                let wake = Instant::now() + fleet.config().probe_interval;
-                while Instant::now() < wake {
-                    if flag.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(25));
-                }
+            }
+            if let Err(RecvTimeoutError::Disconnected) =
+                stopped.recv_timeout(fleet.config().probe_interval)
+            {
+                return;
             }
         });
         HealthProber {
-            stop,
+            stop: Some(stop),
             thread: Some(thread),
         }
     }
@@ -561,12 +556,11 @@ impl HealthProber {
         let pong = client.fleet_ping(&cfg.secret, fleet.epoch(), &cfg.self_addr, version, &members)?;
         Ok((pong.version, pong.members))
     }
-
 }
 
 impl Drop for HealthProber {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.stop.take());
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -783,6 +777,22 @@ mod tests {
             fleet.owner(&digest),
             Some(successor.clone()),
             "the successor inherits the suspect's digests"
+        );
+    }
+
+    #[test]
+    fn dropping_the_prober_does_not_wait_out_the_probe_interval() {
+        let mut cfg = FleetConfig::new("only", peers(&["only"]), 3, "s");
+        cfg.probe_interval = Duration::from_secs(60);
+        let prober = HealthProber::spawn(Arc::new(Fleet::new(cfg)));
+        // Let the thread reach its interval wait before stopping it.
+        std::thread::sleep(Duration::from_millis(50));
+        let start = Instant::now();
+        drop(prober);
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "drop took {:?}",
+            start.elapsed()
         );
     }
 }

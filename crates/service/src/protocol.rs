@@ -548,16 +548,11 @@ pub fn dispatch_session(engine: &Engine, session: &mut Session, line: &str) -> D
     .into()
 }
 
-/// [`dispatch_session`] against a fresh anonymous session — for callers
-/// that predate per-connection identity (and tests that don't need it).
-pub fn dispatch(engine: &Engine, line: &str) -> Dispatch {
-    dispatch_session(engine, &mut Session::default(), line)
-}
-
-/// [`dispatch`] without the control-flow signal — the original entry
-/// point, kept for tests and callers that never honor `shutdown`.
+/// [`dispatch_session`] against a fresh anonymous session, without the
+/// control-flow signal — for tests and callers that never honor
+/// `shutdown`.
 pub fn dispatch_line(engine: &Engine, line: &str) -> Envelope {
-    dispatch(engine, line).reply
+    dispatch_session(engine, &mut Session::default(), line).reply
 }
 
 #[cfg(test)]
@@ -667,13 +662,20 @@ mod tests {
     #[test]
     fn shutdown_command_acks_and_raises_the_flag() {
         let engine = test_engine();
-        let d = dispatch(&engine, r#"{"v":1,"kind":"shutdown","seq":"s9"}"#);
+        let d = dispatch_session(
+            &engine,
+            &mut Session::default(),
+            r#"{"v":1,"kind":"shutdown","seq":"s9"}"#,
+        );
         assert!(d.shutdown);
         assert_eq!(d.reply.kind, "shutting-down");
         assert_eq!(d.reply.seq.as_deref(), Some("s9"));
         // Every other command leaves the flag down.
-        assert!(!dispatch(&engine, r#"{"v":1,"kind":"ping"}"#).shutdown);
-        assert!(!dispatch(&engine, "garbage").shutdown);
+        assert!(
+            !dispatch_session(&engine, &mut Session::default(), r#"{"v":1,"kind":"ping"}"#)
+                .shutdown
+        );
+        assert!(!dispatch_session(&engine, &mut Session::default(), "garbage").shutdown);
     }
 
     #[test]

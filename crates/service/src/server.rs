@@ -86,12 +86,6 @@ impl ShutdownHandle {
     pub fn trigger(&self) {
         self.0.store(true, Ordering::SeqCst);
     }
-
-    /// True once shutdown has been requested (by this handle or by a
-    /// `shutdown` protocol command).
-    pub fn is_triggered(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
 }
 
 /// A bound, not-yet-serving server: the listener exists (so the port is

@@ -18,12 +18,7 @@ pub fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// `Condvar::wait` with the same poison recovery as [`lock`].
-pub fn wait_recover<'a, T>(cond: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    cond.wait(guard).unwrap_or_else(PoisonError::into_inner)
-}
-
-/// `Condvar::wait_timeout` with poison recovery; returns the guard and
+/// `Condvar::wait_timeout` with the same poison recovery as [`lock`]; returns the guard and
 /// whether the wait timed out.
 pub fn wait_timeout_recover<'a, T>(
     cond: &Condvar,
@@ -73,22 +68,4 @@ mod tests {
         assert_eq!(*guard, 0);
     }
 
-    #[test]
-    fn wait_recover_survives_notified_poisoned_mutex() {
-        let mutex = Arc::new(Mutex::new(false));
-        let cond = Arc::new(Condvar::new());
-        let (m2, c2) = (Arc::clone(&mutex), Arc::clone(&cond));
-        let _ = std::thread::spawn(move || {
-            let mut guard = m2.lock().unwrap();
-            *guard = true;
-            c2.notify_all();
-            panic!("poison after notify");
-        })
-        .join();
-        let mut guard = lock(&mutex);
-        while !*guard {
-            guard = wait_recover(&cond, guard);
-        }
-        assert!(*guard);
-    }
 }
