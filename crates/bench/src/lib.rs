@@ -1,25 +1,22 @@
-//! The perf-bench harness for the simulator itself.
+//! Layer microbenchmarks of the simulator and the roofd engine.
 //!
-//! [`harness`] produces the `BENCH_simx86.json` trajectory:
-//! memory-system accesses/sec microbenchmarks plus end-to-end sweep wall
-//! times, emitted by the `simx86-bench` binary and checked by CI's
-//! perf-smoke job against the committed baseline.
+//! [`harness`] holds the probes roofbench's traced run measures with one
+//! warm-up and five trials each (`roofbench/src/probes.rs`). Performance
+//! is gated by `scripts/perf_ab.py`, which runs roofbench on the base and
+//! the head of a change in alternating pairs.
 
 pub mod harness {
-    //! Measurement bodies and the JSON trajectory format.
+    //! Measurement bodies.
     //!
     //! Each microbenchmark isolates one layer of the simulator's per-
     //! instruction cost (front end only, FP ports, L1-hit memory fast
-    //! path, miss paths), so a regression in the trajectory points at the
-    //! layer that caused it. The sweep benches run the real `repro`
-    //! engine in-process with artifacts disabled, so they time pure
-    //! simulation, not disk writes.
+    //! path, miss paths), so a regression points at the layer that
+    //! caused it.
 
     use std::time::Instant;
 
     use experiments::platforms::Fidelity;
     use experiments::registry::Experiment;
-    use experiments::sweep::{run_sweep, SweepConfig};
     use simx86::config::sandy_bridge;
     use simx86::isa::{FpOp, Precision, Reg, VecWidth};
     use simx86::prelude::PatOp;
@@ -38,17 +35,6 @@ pub mod harness {
         pub mops_per_s: f64,
         /// Operations performed.
         pub ops: u64,
-    }
-
-    /// One end-to-end sweep timing.
-    #[derive(Debug, Clone)]
-    pub struct SweepResult {
-        /// Fidelity the sweep ran at.
-        pub fidelity: &'static str,
-        /// Wall-clock milliseconds for the 19-experiment serial sweep.
-        pub wall_ms: u64,
-        /// Experiments run.
-        pub experiments: usize,
     }
 
     fn time_machine<F: FnOnce(&mut Machine) -> u64>(id: &'static str, body: F) -> MicroResult {
@@ -209,147 +195,25 @@ pub mod harness {
         }
     }
 
-    /// The service-layer suite: the cached-hit fast path, unarmed and
-    /// with an inert fault config.
-    pub fn run_service_suite(hits: u64) -> Vec<MicroResult> {
-        vec![
-            bench_service_cached_hits(hits, false),
-            bench_service_cached_hits(hits, true),
-        ]
-    }
-
-    /// The default microbenchmark suite. `scale` is the op count of the
-    /// heaviest memory benches; cheap benches run a multiple of it.
-    pub fn run_micro_suite(scale: u64) -> Vec<MicroResult> {
-        vec![
-            bench_l1_hit_stream(4 * scale),
-            bench_dram_stream(scale),
-            bench_dram_stream_noprefetch(scale / 2),
-            bench_store_stream(scale),
-            bench_frontend_only(4 * scale),
-            bench_fp_ports(4 * scale),
-        ]
-    }
-
-    /// Runs the full 19-experiment sweep in-process at the given fidelity
-    /// on one worker without writing artifacts, timing pure simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sweep engine itself errors (platform resolution or
-    /// staging IO) — a broken harness should fail loudly in a bench run.
-    pub fn bench_sweep(fidelity: Fidelity) -> SweepResult {
-        let config = SweepConfig::new(Experiment::ALL.to_vec(), "snb", fidelity);
-        let t0 = Instant::now();
-        let outcome = run_sweep(&config).expect("bench sweep runs");
-        let wall_ms = t0.elapsed().as_millis() as u64;
-        SweepResult {
-            fidelity: match fidelity {
-                Fidelity::Quick => "quick",
-                Fidelity::Full => "full",
-            },
-            wall_ms,
-            experiments: outcome.manifest.entries.len(),
-        }
-    }
-
-    /// Renders the trajectory JSON (hand-rolled like the manifest: stable
-    /// key order, one object per line in arrays).
-    pub fn render_json(
-        micro: &[MicroResult],
-        service: &[MicroResult],
-        sweeps: &[SweepResult],
-        baseline_full_ms: u64,
-        baseline_quick_ms: u64,
-    ) -> String {
-        fn micro_array(s: &mut String, results: &[MicroResult]) {
-            for (i, r) in results.iter().enumerate() {
-                s.push_str(&format!(
-                    "    {{\"id\": \"{}\", \"mops_per_s\": {:.2}, \"ops\": {}}}{}\n",
-                    r.id,
-                    r.mops_per_s,
-                    r.ops,
-                    if i + 1 < results.len() { "," } else { "" }
-                ));
-            }
-        }
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"schema\": 1,\n");
-        s.push_str("  \"name\": \"BENCH_simx86\",\n");
-        s.push_str("  \"memsys\": [\n");
-        micro_array(&mut s, micro);
-        s.push_str("  ],\n");
-        s.push_str("  \"service\": [\n");
-        micro_array(&mut s, service);
-        s.push_str("  ],\n");
-        s.push_str("  \"sweeps\": [\n");
-        for (i, r) in sweeps.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"fidelity\": \"{}\", \"jobs\": 1, \"wall_ms\": {}, \"experiments\": {}}}{}\n",
-                r.fidelity,
-                r.wall_ms,
-                r.experiments,
-                if i + 1 < sweeps.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"reference\": {\n");
-        s.push_str(&format!("    \"pre_pr_full_wall_ms\": {baseline_full_ms},\n"));
-        s.push_str(&format!("    \"pre_pr_quick_wall_ms\": {baseline_quick_ms}"));
-        for r in sweeps {
-            let base = match r.fidelity {
-                "full" => baseline_full_ms,
-                _ => baseline_quick_ms,
-            };
-            if r.wall_ms > 0 {
-                s.push_str(&format!(
-                    ",\n    \"speedup_{}\": {:.2}",
-                    r.fidelity,
-                    base as f64 / r.wall_ms as f64
-                ));
-            }
-        }
-        s.push_str("\n  }\n}\n");
-        s
-    }
-
     #[cfg(test)]
     mod tests {
         use super::*;
 
         #[test]
         fn micro_benches_report_positive_rates() {
-            for r in run_micro_suite(2_000) {
+            for r in [
+                bench_l1_hit_stream(8_000),
+                bench_dram_stream(2_000),
+                bench_dram_stream_noprefetch(1_000),
+                bench_store_stream(2_000),
+                bench_frontend_only(8_000),
+                bench_fp_ports(8_000),
+                bench_service_cached_hits(200, false),
+                bench_service_cached_hits(200, true),
+            ] {
                 assert!(r.mops_per_s > 0.0, "{} reported no rate", r.id);
                 assert!(r.ops > 0);
             }
-        }
-
-        #[test]
-        fn json_is_well_formed_enough_for_python() {
-            let micro = vec![MicroResult {
-                id: "l1_hit_stream",
-                mops_per_s: 12.34,
-                ops: 1000,
-            }];
-            let sweeps = vec![SweepResult {
-                fidelity: "quick",
-                wall_ms: 5000,
-                experiments: 18,
-            }];
-            let service = vec![MicroResult {
-                id: "service_cached_hit",
-                mops_per_s: 0.42,
-                ops: 20000,
-            }];
-            let s = render_json(&micro, &service, &sweeps, 112570, 14627);
-            assert!(s.contains("\"service_cached_hit\""));
-            assert!(s.contains("\"speedup_quick\": 2.93"));
-            assert!(s.contains("\"pre_pr_full_wall_ms\": 112570"));
-            // Balanced braces/brackets (the cheap structural check).
-            assert_eq!(s.matches('{').count(), s.matches('}').count());
-            assert_eq!(s.matches('[').count(), s.matches(']').count());
         }
     }
 }

@@ -221,18 +221,6 @@ pub fn run_e19(platform: &str, fidelity: Fidelity) -> ExperimentOutput {
     out
 }
 
-/// Test-support: the family's per-level kernel points by kernel name.
-#[doc(hidden)]
-pub fn debug_samples(
-    platform: &str,
-    fidelity: Fidelity,
-) -> Vec<(String, Vec<roofline_core::point::KernelPoint>)> {
-    measure_family(platform, fidelity)
-        .into_iter()
-        .map(|s| (s.name.clone(), s.hier.points()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

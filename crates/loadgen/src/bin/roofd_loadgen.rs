@@ -1,26 +1,31 @@
 //! `roofd_loadgen` — drives a seeded zipf workload against a running
-//! roofd fleet and writes the `BENCH_roofd.json` report.
+//! roofd fleet and checks what it served.
 //!
 //! ```text
 //! roofd_loadgen --addrs HOST:PORT,... [--clients N] [--requests N]
 //!               [--seed N] [--zipf-s F] [--tenants tok:name,... | anon]
-//!               [--out FILE] [--assert-peer-hits] [--assert-fairness F]
+//!               [--assert-peer-hits] [--assert-fairness F]
 //! ```
 //!
 //! The fleet is started outside the generator (one `roofd` process per
-//! node); `--addrs` lists its nodes and the report carries it as one
-//! fleet entry. Tenant tokens must match the servers' token file. To
-//! churn the fleet, kill and restart a `roofd` process while a burst
-//! runs: clients fail over to the surviving nodes on connection errors.
+//! node); `--addrs` lists its nodes. Tenant tokens must match the
+//! servers' token file. To churn the fleet, kill and restart a `roofd`
+//! process while a burst runs: clients fail over to the surviving nodes
+//! on connection errors.
 //!
-//! `--assert-peer-hits` fails (exit 1) if no multi-node fleet answered
-//! any request via a cache-peer fetch; `--assert-fairness F` fails if
-//! any fleet's max/min served ratio across tenant lanes exceeds `F`
-//! **or** any tenant lane was starved outright (`starved` non-empty in
-//! the report). Any request lost to a non-quota error also fails the
-//! run. CI's service-fleet job runs with both assertions.
+//! The run ends with a one-line summary on standard error: requests
+//! served, quota-rejected and lost, the peer-hit share and the tenant
+//! fairness ratio. Latency is measured by roofbench's `fleet_cold` and
+//! `roofd_warm` workloads, not here.
+//!
+//! `--assert-peer-hits` fails (exit 1) if the fleet has one node or no
+//! node answered any request via a cache-peer fetch;
+//! `--assert-fairness F` fails if the max/min served ratio across tenant
+//! lanes exceeds `F` **or** any tenant lane was starved outright. Any
+//! request lost to a non-quota error also fails the run. CI's
+//! service-fleet job runs with both assertions.
 
-use roofline_loadgen::{run_workload, Report, TenantSpec, WorkloadConfig};
+use roofline_loadgen::{run_workload, TenantSpec, WorkloadConfig};
 use roofline_service::auth::{ANON_TENANT, FLEET_TENANT};
 use std::process::ExitCode;
 
@@ -31,7 +36,6 @@ struct Args {
     seed: u64,
     zipf_s: f64,
     tenants: Vec<TenantSpec>,
-    out: Option<String>,
     assert_peer_hits: bool,
     assert_fairness: Option<f64>,
 }
@@ -75,7 +79,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         seed: 42,
         zipf_s: 1.1,
         tenants: parse_tenants("tok-a:team-a,tok-b:team-b").expect("default tenants"),
-        out: None,
         assert_peer_hits: false,
         assert_fairness: None,
     };
@@ -122,7 +125,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     .ok_or(format!("--zipf-s needs a non-negative number, got `{v}`"))?;
             }
             "--tenants" => args.tenants = parse_tenants(&value("--tenants")?)?,
-            "--out" => args.out = Some(value("--out")?),
             "--assert-peer-hits" => args.assert_peer_hits = true,
             "--assert-fairness" => {
                 let v = value("--assert-fairness")?;
@@ -137,7 +139,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 println!(
                     "usage: roofd_loadgen --addrs HOST:PORT,... [--clients N] [--requests N]\n\
                      \x20                    [--seed N] [--zipf-s F]\n\
-                     \x20                    [--tenants tok:name,...|anon] [--out FILE]\n\
+                     \x20                    [--tenants tok:name,...|anon]\n\
                      \x20                    [--assert-peer-hits] [--assert-fairness F]\n\
                      defaults: --clients 12 --requests 40 --seed 42 --zipf-s 1.1\n\
                      \x20         --tenants tok-a:team-a,tok-b:team-b"
@@ -153,7 +155,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
-fn run(args: &Args) -> Result<ExitCode, String> {
+fn run(args: &Args) -> ExitCode {
     eprintln!(
         "loadgen: driving external fleet of {} node(s): {}",
         args.addrs.len(),
@@ -164,98 +166,66 @@ fn run(args: &Args) -> Result<ExitCode, String> {
     cfg.requests_per_client = args.requests;
     cfg.zipf_s = args.zipf_s;
     cfg.tenants = args.tenants.clone();
-    let fleets = vec![run_workload(&cfg)];
-
-    let report = Report {
-        seed: args.seed,
-        zipf_s: args.zipf_s,
-        fleets,
-    };
-    for f in &report.fleets {
-        eprintln!(
-            "loadgen: {} node(s): served {}/{} (quota {}, errors {}), \
-             p50 {} ms, p99 {} ms, peer-hit share {:.3}, fairness {:.2}{}",
-            f.nodes,
-            f.served,
-            f.requests,
-            f.quota_rejected,
-            f.errors,
-            f.p50_ms,
-            f.p99_ms,
-            f.peer_hit_share,
-            f.fairness_ratio,
-            if f.starved.is_empty() {
-                String::new()
-            } else {
-                format!(", STARVED: {}", f.starved.join(", "))
-            },
-        );
-    }
-
-    let text = report.render();
-    match &args.out {
-        Some(path) => {
-            std::fs::write(path, &text)
-                .map_err(|e| format!("could not write {path}: {e}"))?;
-            eprintln!("loadgen: wrote {path}");
-        }
-        None => print!("{text}"),
-    }
+    let f = run_workload(&cfg);
+    eprintln!(
+        "loadgen: {} node(s): served {}/{} (quota {}, errors {}), \
+         peer-hit share {:.3}, fairness {:.2}{}",
+        f.nodes,
+        f.served,
+        f.requests,
+        f.quota_rejected,
+        f.errors,
+        f.peer_hit_share,
+        f.fairness_ratio,
+        if f.starved.is_empty() {
+            String::new()
+        } else {
+            format!(", STARVED: {}", f.starved.join(", "))
+        },
+    );
 
     let mut failures = Vec::new();
-    if args.assert_peer_hits {
-        let peer_hits: u64 = report
-            .fleets
-            .iter()
-            .filter(|f| f.nodes > 1)
-            .flat_map(|f| f.per_node.iter().map(|n| n.peer_hits))
-            .sum();
-        if peer_hits == 0 {
-            failures.push("no multi-node fleet answered any request via a peer fetch".to_string());
-        }
+    if args.assert_peer_hits && (f.nodes < 2 || f.peer_hits == 0) {
+        failures.push("no multi-node fleet answered any request via a peer fetch".to_string());
     }
     if let Some(bound) = args.assert_fairness {
-        for f in &report.fleets {
-            // A starved lane is the loudest unfairness there is — it
-            // fails by name, not by an inflated ratio.
-            if !f.starved.is_empty() {
-                failures.push(format!(
-                    "{}-node fleet starved tenant lane(s) {}: zero requests served",
-                    f.nodes,
-                    f.starved.join(", ")
-                ));
-            }
-            // NaN must fail the bound, so compare in the failing
-            // direction rather than negating `<=`.
-            if f.fairness_ratio > bound || f.fairness_ratio.is_nan() {
-                failures.push(format!(
-                    "{}-node fleet fairness ratio {:.2} exceeds the {bound:.2} bound",
-                    f.nodes, f.fairness_ratio
-                ));
-            }
-        }
-    }
-    for f in &report.fleets {
-        if f.errors > 0 {
+        // A starved lane is the loudest unfairness there is — it fails
+        // by name, not by an inflated ratio.
+        if !f.starved.is_empty() {
             failures.push(format!(
-                "{}-node fleet lost {} request(s) to non-quota errors",
-                f.nodes, f.errors
+                "{}-node fleet starved tenant lane(s) {}: zero requests served",
+                f.nodes,
+                f.starved.join(", ")
             ));
         }
+        // NaN must fail the bound, so compare in the failing direction
+        // rather than negating `<=`.
+        if f.fairness_ratio > bound || f.fairness_ratio.is_nan() {
+            failures.push(format!(
+                "{}-node fleet fairness ratio {:.2} exceeds the {bound:.2} bound",
+                f.nodes, f.fairness_ratio
+            ));
+        }
+    }
+    if f.errors > 0 {
+        failures.push(format!(
+            "{}-node fleet lost {} request(s) to non-quota errors",
+            f.nodes, f.errors
+        ));
     }
     for failure in &failures {
         eprintln!("error: {failure}");
     }
-    Ok(if failures.is_empty() {
+    if failures.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    })
+    }
 }
 
 fn main() -> ExitCode {
-    match parse_args(std::env::args().skip(1)).and_then(|args| run(&args)) {
-        Ok(code) => code,
+    match parse_args(std::env::args().skip(1)) {
+        Ok(args) => run(&args),
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -288,7 +258,7 @@ mod tests {
         const FLEET: &str = "127.0.0.1:47131,127.0.0.1:47132,127.0.0.1:47133";
         let burst = parse(&format!(
             "--addrs {FLEET} --tenants tok-a:team-a,tok-b:team-b --seed 42 \
-             --assert-peer-hits --assert-fairness 2.0 --out BENCH_roofd_fresh.json"
+             --assert-peer-hits --assert-fairness 2.0"
         ))
         .expect("the fleet-gate burst parses");
         assert_eq!(burst.addrs.len(), 3);
@@ -296,11 +266,10 @@ mod tests {
         assert_eq!((burst.clients, burst.requests, burst.seed), (12, 40, 42));
         assert!(burst.assert_peer_hits);
         assert_eq!(burst.assert_fairness, Some(2.0));
-        assert_eq!(burst.out.as_deref(), Some("BENCH_roofd_fresh.json"));
 
         let churn = parse(&format!(
             "--addrs {FLEET} --tenants tok-a:team-a,tok-b:team-b --seed 99 \
-             --clients 16 --requests 600 --out BENCH_roofd_churn.json"
+             --clients 16 --requests 600"
         ))
         .expect("the churn burst parses");
         assert_eq!((churn.clients, churn.requests, churn.seed), (16, 600, 99));
@@ -310,7 +279,7 @@ mod tests {
 
     #[test]
     fn addrs_is_required() {
-        for line in ["", "--seed 42 --out x.json", "--addrs ,"] {
+        for line in ["", "--seed 42", "--addrs ,"] {
             let err = parse(line).err().expect("no fleet to drive");
             assert!(err.contains("--addrs is required"), "`{line}`: {err}");
         }
@@ -326,6 +295,7 @@ mod tests {
             "--peer-timeout-ms",
             "--kill-node-at",
             "--restart-node-at",
+            "--out",
         ] {
             let err = parse(&format!("--addrs 127.0.0.1:1 {flag} 1"))
                 .err()

@@ -141,23 +141,12 @@ struct RawDelta {
 pub struct Measurer<'m> {
     machine: &'m mut Machine,
     cfg: MeasureConfig,
-    precision: Precision,
 }
 
 impl<'m> Measurer<'m> {
     /// Creates a measurer over `machine` with the given protocol.
     pub fn new(machine: &'m mut Machine, cfg: MeasureConfig) -> Self {
-        Self {
-            machine,
-            cfg,
-            precision: Precision::F64,
-        }
-    }
-
-    /// Switches the flop-weighting precision (default: double).
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
+        Self { machine, cfg }
     }
 
     /// The configuration in use.
@@ -189,7 +178,7 @@ impl<'m> Measurer<'m> {
         let du = self.machine.uncore().since(&u0);
         let dh = self.machine.hier_counters().since(&h0);
         RawDelta {
-            flops: dc.flops(self.precision),
+            flops: dc.flops(Precision::F64),
             traffic: du.get(UncoreEvent::ImcDramDataReads) * 64
                 + du.get(UncoreEvent::ImcDramDataWrites) * 64,
             llc_bytes: dc.get(CoreEvent::LlcMiss) * 64,
@@ -267,8 +256,7 @@ impl<'m> Measurer<'m> {
             runtime_stats,
             integrity: IntegrityReport::clean(),
         };
-        out.integrity = IntegrityGuard::for_machine_with_precision(self.machine, 1, self.precision)
-            .check(&out);
+        out.integrity = IntegrityGuard::for_machine(self.machine, 1).check(&out);
         out
     }
 
@@ -318,7 +306,7 @@ impl<'m> Measurer<'m> {
             let mut cycles = 0u64;
             for (t, before) in c0.iter().enumerate() {
                 let d = self.machine.core_counters(t).since(before);
-                flops += d.flops(self.precision);
+                flops += d.flops(Precision::F64);
                 llc += d.get(CoreEvent::LlcMiss) * 64;
                 instr += d.get(CoreEvent::InstRetired);
                 cycles += d.get(CoreEvent::ClkUnhalted);
@@ -357,9 +345,7 @@ impl<'m> Measurer<'m> {
             runtime_stats,
             integrity: IntegrityReport::clean(),
         };
-        out.integrity =
-            IntegrityGuard::for_machine_with_precision(self.machine, threads, self.precision)
-                .check(&out);
+        out.integrity = IntegrityGuard::for_machine(self.machine, threads).check(&out);
         out
     }
 

@@ -47,6 +47,16 @@ pub enum ClientError {
 impl fmt::Display for ClientError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            // `SO_RCVTIMEO`/`SO_SNDTIMEO` expiry surfaces as EAGAIN
+            // (`WouldBlock`) on Unix, and as `TimedOut` elsewhere.
+            ClientError::Io(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                write!(f, "timed out waiting for the server: {e}")
+            }
             ClientError::Io(e) => write!(f, "connection failed: {e}"),
             ClientError::Protocol(e) => write!(f, "protocol error: {e}"),
             ClientError::Server { code, detail } => write!(f, "server error [{code}]: {detail}"),
@@ -653,6 +663,22 @@ fn field_u64(env: &Envelope, name: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn socket_timeouts_display_as_timeouts() {
+        for kind in [io::ErrorKind::WouldBlock, io::ErrorKind::TimedOut] {
+            let shown = ClientError::Io(io::Error::from(kind)).to_string();
+            assert!(
+                shown.starts_with("timed out waiting for the server: "),
+                "{shown}"
+            );
+        }
+        let refused = ClientError::Io(io::Error::from(io::ErrorKind::ConnectionRefused));
+        assert!(
+            refused.to_string().starts_with("connection failed: "),
+            "{refused}"
+        );
+    }
 
     #[test]
     fn backoff_is_deterministic_jittered_and_capped() {

@@ -372,11 +372,6 @@ impl Cache {
         self.stats
     }
 
-    /// Resets statistics without touching contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Number of currently valid lines (for tests and debugging).
     pub fn resident_lines(&self) -> usize {
         self.tags.iter().filter(|&&t| t != INVALID_TAG).count()

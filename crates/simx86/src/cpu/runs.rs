@@ -202,19 +202,6 @@ impl<'m> Cpu<'m> {
         self.run_pattern(&[PatOp::Store { src, base, stride }], width, prec, n);
     }
 
-    /// A run of `n` non-temporal stores of `src` over the strided range.
-    pub fn store_nt_run(
-        &mut self,
-        src: Reg,
-        base: u64,
-        stride: u64,
-        width: VecWidth,
-        prec: Precision,
-        n: u64,
-    ) {
-        self.run_pattern(&[PatOp::StoreNt { src, base, stride }], width, prec, n);
-    }
-
     /// One pattern op through the ordinary per-instruction machinery.
     fn exec_pat_op(&mut self, op: &PatOp, width: VecWidth, prec: Precision, j: u64) {
         match *op {
