@@ -388,17 +388,8 @@ impl IntegrityGuard {
     /// Builds a guard for double-precision measurements taken on
     /// `machine` aggregated over `threads` cores.
     pub fn for_machine(machine: &Machine, threads: usize) -> Self {
-        Self::for_machine_with_precision(machine, threads, simx86::isa::Precision::F64)
-    }
-
-    /// As [`IntegrityGuard::for_machine`] with an explicit flop precision.
-    pub fn for_machine_with_precision(
-        machine: &Machine,
-        threads: usize,
-        precision: simx86::isa::Precision,
-    ) -> Self {
         let cfg = machine.config();
-        let fpc = cfg.fp.peak_flops_per_cycle(cfg.fp.max_width, precision);
+        let fpc = cfg.fp.peak_flops_per_cycle(cfg.fp.max_width, simx86::isa::Precision::F64);
         IntegrityGuard {
             peak_gflops: fpc * cfg.nominal_ghz * threads as f64,
             peak_gbps: cfg.sockets as f64 * cfg.dram_gbps,

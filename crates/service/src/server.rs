@@ -27,17 +27,17 @@
 //!   this layer hangs up), so bearer tokens cannot be brute-forced at
 //!   line rate over one socket;
 //! * **graceful shutdown** — the `shutdown` protocol command (or
-//!   [`ShutdownHandle::trigger`]) stops the accept loop, lets every
-//!   in-flight request finish, and joins the workers. (The server is
-//!   std-only and installs no signal handler: a SIGTERM is an abrupt
-//!   stop; use `roofctl shutdown` for a clean one.)
+//!   [`ShutdownHandle::trigger`]) wakes the blocking accept loop by
+//!   connecting to the listener, lets every in-flight request finish,
+//!   and joins the workers. (std-only, no signal handler: a SIGTERM is
+//!   an abrupt stop; use `roofctl shutdown` for a clean one.)
 
 use crate::engine::Engine;
 use crate::fleet::HealthProber;
 use crate::protocol::{dispatch_session, error_code, error_envelope, Session};
 use roofline_core::json::{Envelope, Json};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -71,20 +71,24 @@ impl Default for ServerConfig {
     }
 }
 
-/// How often a blocked read wakes to re-check the idle deadline and the
-/// shutdown flag. Short enough that shutdown and accept-loop latency are
-/// sub-second; long enough to stay out of the way.
+/// How often an idle worker's blocked read wakes to re-check its idle
+/// deadline and the shutdown flag, and so how long a drain can wait on an
+/// idle connection. Accepts never wait on it.
 const POLL_QUANTUM: Duration = Duration::from_millis(100);
 
 /// A handle that asks a running [`Server::serve`] loop to shut down
 /// gracefully: stop accepting, drain in-flight requests, join workers.
 #[derive(Clone)]
-pub struct ShutdownHandle(Arc<AtomicBool>);
+pub struct ShutdownHandle(Arc<AtomicBool>, SocketAddr);
 
 impl ShutdownHandle {
-    /// Requests shutdown; idempotent.
+    /// Requests shutdown; idempotent. Sets the flag, then connects to the
+    /// listener's address (an unspecified IP mapped to loopback) to wake a
+    /// blocked `accept`; the kernel queues that connection in the backlog,
+    /// so a trigger racing the accept loop is not lost.
     pub fn trigger(&self) {
         self.0.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.1);
     }
 }
 
@@ -95,7 +99,7 @@ pub struct Server {
     listener: TcpListener,
     engine: Engine,
     cfg: ServerConfig,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownHandle,
 }
 
 impl Server {
@@ -126,11 +130,17 @@ impl Server {
     /// node's port *before* building the engines behind them (a fleet's
     /// peer list names addresses the engines are configured with).
     pub fn from_listener(listener: TcpListener, engine: Engine, cfg: ServerConfig) -> Server {
+        let mut wake = listener.local_addr().expect("a bound listener has an address");
+        match &mut wake {
+            SocketAddr::V4(a) if a.ip().is_unspecified() => a.set_ip(Ipv4Addr::LOCALHOST),
+            SocketAddr::V6(a) if a.ip().is_unspecified() => a.set_ip(Ipv6Addr::LOCALHOST),
+            _ => {}
+        }
         Server {
             listener,
             engine,
             cfg,
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown: ShutdownHandle(Arc::new(AtomicBool::new(false)), wake),
         }
     }
 
@@ -139,14 +149,14 @@ impl Server {
     /// # Errors
     ///
     /// Propagates the socket query failure.
-    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
+    pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
     /// A handle that can stop this server's [`Server::serve`] loop from
     /// another thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle(Arc::clone(&self.shutdown))
+        self.shutdown.clone()
     }
 
     /// Serves until shutdown: accepts connections (shedding beyond the
@@ -157,8 +167,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates only listener-setup failures; per-connection errors
-    /// are contained to their connection.
+    /// None today: per-connection errors are contained to their connection.
     pub fn serve(self) -> io::Result<()> {
         self.accept_loop(None)
     }
@@ -176,18 +185,17 @@ impl Server {
     }
 
     fn accept_loop(self, limit: Option<usize>) -> io::Result<()> {
-        // Non-blocking accept so the loop can observe the shutdown flag
-        // without a wedging `accept()` call in the way.
-        self.listener.set_nonblocking(true)?;
         // Fleet nodes probe their peers for as long as they serve; the
         // prober stops (via Drop) when the accept loop exits.
         let _prober = self.engine.fleet().map(HealthProber::spawn);
         let active = Arc::new(AtomicUsize::new(0));
         let mut served = 0;
         let mut workers: Vec<thread::JoinHandle<()>> = Vec::new();
-        while !self.shutdown.load(Ordering::SeqCst) && limit.is_none_or(|n| served < n) {
+        while limit.is_none_or(|n| served < n) {
             workers.retain(|w| !w.is_finished());
             match self.listener.accept() {
+                // A trigger's wake connection: never shed, counted or served.
+                _ if self.shutdown.0.load(Ordering::SeqCst) => break,
                 Ok((stream, _peer)) => {
                     if active.load(Ordering::SeqCst) >= self.cfg.max_connections.max(1) {
                         self.engine.note_shed();
@@ -198,7 +206,7 @@ impl Server {
                     active.fetch_add(1, Ordering::SeqCst);
                     let engine = self.engine.clone();
                     let cfg = self.cfg.clone();
-                    let shutdown = Arc::clone(&self.shutdown);
+                    let shutdown = self.shutdown.clone();
                     let active = Arc::clone(&active);
                     workers.push(thread::spawn(move || {
                         if let Err(e) = serve_connection(stream, &engine, &cfg, &shutdown) {
@@ -208,14 +216,10 @@ impl Server {
                         active.fetch_sub(1, Ordering::SeqCst);
                     }));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(25));
-                }
                 Err(e) => eprintln!("roofd: accept failed: {e}"),
             }
         }
-        // Drain: no new connections; workers notice the flag at their
-        // next poll quantum and finish their in-flight request first.
+        // Drain: idle workers see the flag within a poll quantum; busy ones finish first.
         for worker in workers {
             let _ = worker.join();
         }
@@ -243,11 +247,8 @@ fn serve_connection(
     stream: TcpStream,
     engine: &Engine,
     cfg: &ServerConfig,
-    shutdown: &AtomicBool,
+    shutdown: &ShutdownHandle,
 ) -> io::Result<()> {
-    // On some platforms an accepted socket inherits the listener's
-    // non-blocking flag; reads below rely on blocking-with-timeout.
-    stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(POLL_QUANTUM.min(cfg.read_timeout)))?;
     stream.set_write_timeout(Some(cfg.write_timeout))?;
     // Response lines are tiny and latency-bound; without this, Nagle +
@@ -278,9 +279,8 @@ fn serve_connection(
             }
             writer.write_all(d.reply.to_line().as_bytes())?;
             writer.write_all(b"\n")?;
-            writer.flush()?;
             if d.shutdown {
-                shutdown.store(true, Ordering::SeqCst);
+                shutdown.trigger();
                 return Ok(());
             }
             if d.close {
@@ -301,7 +301,6 @@ fn serve_connection(
             );
             writer.write_all(env.to_line().as_bytes())?;
             writer.write_all(b"\n")?;
-            writer.flush()?;
             return Ok(());
         }
         match reader.read(&mut chunk) {
@@ -311,7 +310,7 @@ fn serve_connection(
                 if e.kind() == io::ErrorKind::WouldBlock
                     || e.kind() == io::ErrorKind::TimedOut =>
             {
-                if shutdown.load(Ordering::SeqCst) || Instant::now() >= idle_deadline {
+                if shutdown.0.load(Ordering::SeqCst) || Instant::now() >= idle_deadline {
                     return Ok(());
                 }
             }

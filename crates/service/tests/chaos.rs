@@ -394,6 +394,63 @@ fn shutdown_command_drains_and_joins_the_server() {
     );
 }
 
+/// The accept loop blocks in `accept()`; `trigger()` wakes it by
+/// connecting to the listener, also when the listener is bound to the
+/// unspecified address (the wake connection goes to loopback). A lost
+/// wake-up shows as a hung join.
+#[test]
+fn trigger_wakes_an_idle_accept_loop() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let engine = Engine::with_compute(EngineConfig::default(), stub_compute);
+        let server = Server::bind(bind, engine).expect("bind");
+        let port = server.local_addr().expect("addr").port();
+        let handle = server.shutdown_handle();
+        let server = std::thread::spawn(move || server.serve());
+
+        // One round trip proves the loop is running; the client then goes,
+        // so the loop waits in `accept` with no client connected.
+        Client::connect(("127.0.0.1", port)).expect("connect").ping().expect("ping");
+        handle.trigger();
+        server.join().unwrap().expect("serve returns Ok after trigger");
+    }
+}
+
+/// A trigger that lands before `serve()` starts is not lost: its wake
+/// connection waits in the listen backlog for the first `accept`.
+#[test]
+fn trigger_before_serve_still_stops_the_server() {
+    let engine = Engine::with_compute(EngineConfig::default(), stub_compute);
+    let server = Server::bind("127.0.0.1:0", engine).expect("bind");
+    server.shutdown_handle().trigger();
+    std::thread::spawn(move || server.serve())
+        .join()
+        .unwrap()
+        .expect("serve returns Ok after an early trigger");
+}
+
+/// The wake connection is never shed: with the only slot held by an idle
+/// client, `trigger()` still stops the server and `shed` stays 0.
+#[test]
+fn wake_connection_is_not_shed_at_the_connection_cap() {
+    let cfg = ServerConfig {
+        max_connections: 1,
+        ..ServerConfig::default()
+    };
+    let engine = Engine::with_compute(EngineConfig::default(), stub_compute);
+    let server = Server::bind_with("127.0.0.1:0", engine.clone(), cfg).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.shutdown_handle();
+    let server = std::thread::spawn(move || server.serve());
+
+    // A served round trip proves the idle client holds the only slot.
+    let mut idle = Client::connect(addr).expect("connect");
+    idle.ping().expect("ping");
+    handle.trigger();
+    server.join().unwrap().expect("serve returns Ok after trigger");
+    assert_eq!(engine.stats().shed, 0, "the wake connection must not be shed");
+    drop(idle);
+}
+
 /// The zero-fault guarantee: an *enabled* fault config with every knob
 /// at zero is bit-transparent — responses are byte-identical to both an
 /// unarmed engine's and the serial reference, and no resilience counter
