@@ -163,6 +163,7 @@ impl Json {
     /// trailing garbage.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -225,6 +226,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -401,12 +403,16 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).expect("valid utf-8");
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // One pass over the plain run up to the next stop byte;
+                    // every stop byte is ASCII, so the run is whole chars.
+                    let start = self.pos;
+                    while let Some(&b) = self.bytes.get(self.pos) {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -545,6 +551,8 @@ impl Envelope {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn scalars_round_trip() {
@@ -634,5 +642,128 @@ mod tests {
         let err = Envelope::parse_line("{\"v\":9,\"kind\":\"run\"}").unwrap_err();
         assert!(err.to_string().contains("unsupported protocol version"), "{err}");
         assert!(Envelope::parse_line("{\"v\":1}").is_err(), "missing kind");
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets() {
+        for (text, message, offset) in [
+            // The raw control byte's own offset, after a 2-byte char.
+            ("\"ab\u{e9}\u{1}cd\"", "raw control character in string", 5),
+            ("[\"x\",\"\n\"]", "raw control character in string", 6),
+            // An unterminated string fails at the end of the input.
+            ("\"abc\u{1f600}", "unterminated string", 8),
+            ("{\"k\":\"v\\\"", "unterminated string", 9),
+        ] {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(err.message, message, "{text:?}");
+            assert_eq!(err.offset, offset, "{text:?}");
+        }
+    }
+
+    fn ch(range: std::ops::Range<u32>) -> impl Strategy<Value = char> {
+        range.prop_map(|c| char::from_u32(c).expect("scalar value"))
+    }
+
+    /// Any char a string may hold: ASCII, 2-, 3- and 4-byte UTF-8, the
+    /// two characters that need escaping, and every control character.
+    fn any_char() -> impl Strategy<Value = char> {
+        prop_oneof![
+            ch(0x20..0x7f),
+            ch(0x80..0x800),
+            ch(0x800..0xd800),
+            ch(0xe000..0x1_0000),
+            ch(0x1_0000..0x11_0000),
+            Just('"'),
+            Just('\\'),
+            ch(0..0x20),
+        ]
+    }
+
+    /// A char that needs no escape inside a string literal.
+    fn plain_char() -> impl Strategy<Value = char> {
+        prop_oneof![
+            ch(0x20..0x22),
+            ch(0x23..0x5c),
+            ch(0x5d..0x7f),
+            ch(0x80..0xd800),
+            ch(0xe000..0x11_0000),
+        ]
+    }
+
+    /// A `\uXXXX` escape of one UTF-16 unit, in either hex case.
+    fn u_escape(unit: u32, upper: bool) -> String {
+        if upper {
+            format!("\\u{unit:04X}")
+        } else {
+            format!("\\u{unit:04x}")
+        }
+    }
+
+    /// One piece of a string literal: its source text and the text it
+    /// decodes to.
+    fn piece() -> impl Strategy<Value = (String, String)> {
+        prop_oneof![
+            vec(plain_char(), 1..64).prop_map(|cs| {
+                let s: String = cs.into_iter().collect();
+                (s.clone(), s)
+            }),
+            (0usize..8).prop_map(|i| {
+                let (src, text) = [
+                    ("\\\"", "\""),
+                    ("\\\\", "\\"),
+                    ("\\/", "/"),
+                    ("\\b", "\u{8}"),
+                    ("\\f", "\u{c}"),
+                    ("\\n", "\n"),
+                    ("\\r", "\r"),
+                    ("\\t", "\t"),
+                ][i];
+                (src.to_string(), text.to_string())
+            }),
+            (
+                prop_oneof![ch(0..0xd800), ch(0xe000..0x1_0000)],
+                any::<bool>()
+            )
+                .prop_map(|(c, upper)| (u_escape(c as u32, upper), c.to_string())),
+            (ch(0x1_0000..0x11_0000), any::<bool>()).prop_map(|(c, upper)| {
+                let mut units = [0u16; 2];
+                c.encode_utf16(&mut units);
+                let [hi, lo] = units.map(|u| u_escape(u32::from(u), upper));
+                (hi + &lo, c.to_string())
+            }),
+            (0xdc00u32..0xe000, any::<bool>())
+                .prop_map(|(unit, upper)| (u_escape(unit, upper), "\u{fffd}".to_string())),
+            // A lone high surrogate, kept from pairing up by the plain
+            // char after it.
+            (0xd800u32..0xdc00, any::<bool>(), plain_char()).prop_map(|(unit, upper, c)| {
+                (
+                    u_escape(unit, upper) + &c.to_string(),
+                    format!("\u{fffd}{c}"),
+                )
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn strings_round_trip_through_render(cs in vec(any_char(), 0..16 * 1024)) {
+            let s: String = cs.into_iter().collect();
+            let v = Json::Str(s);
+            prop_assert!(Json::parse(&v.render()).unwrap() == v, "round trip changed the string");
+        }
+
+        #[test]
+        fn escapes_decode_piece_by_piece(pieces in vec(piece(), 0..256)) {
+            let mut src = String::from("\"");
+            let mut want = String::new();
+            for (s, text) in &pieces {
+                src.push_str(s);
+                want.push_str(text);
+            }
+            src.push('"');
+            prop_assert_eq!(Json::parse(&src).unwrap(), Json::Str(want), "literal {}", src);
+        }
     }
 }

@@ -42,6 +42,23 @@ fn measure_kernel(
     r
 }
 
+/// Builds kernel `build(machine, n)` on a fresh machine, measures it cold
+/// and pushes its `W` row. The machine is dropped on return, so E5 holds
+/// one simulated machine at a time.
+fn w_row<K: Kernel>(
+    out: &mut ExperimentOutput,
+    table: &mut ValidationTable,
+    platform: &str,
+    n: u64,
+    build: impl FnOnce(&mut Machine, u64) -> K,
+) -> K {
+    let mut m = machine_by_name(platform);
+    let k = build(&mut m, n);
+    let r = measure_kernel(out, platform, &mut m, &k, CacheProtocol::Cold);
+    table.push(k.name(), n, "W [flops]", k.flops(), r.work.get());
+    k
+}
+
 /// E5 — measured `W` (width-weighted FP counters) against analytic flop
 /// counts, across every kernel family. The paper's conclusion — the
 /// counters are exact — must reproduce as all-`exact` rows, with the
@@ -55,61 +72,30 @@ pub fn run_e5(platform: &str, fidelity: Fidelity) -> ExperimentOutput {
         fidelity.scale(1 << 18, 1 << 12),
     ];
     for &n in &sizes {
-        let mut m = machine_by_name(platform);
-        let k = Daxpy::new(&mut m, n);
-        let r = measure_kernel(&mut out, platform, &mut m, &k, CacheProtocol::Cold);
-        table.push(k.name(), n, "W [flops]", k.flops(), r.work.get());
-
-        let mut m = machine_by_name(platform);
-        let k = Dsum::new(&mut m, n);
-        let r = measure_kernel(&mut out, platform, &mut m, &k, CacheProtocol::Cold);
-        table.push(k.name(), n, "W [flops]", k.flops(), r.work.get());
-
-        let mut m = machine_by_name(platform);
-        let k = Triad::new(&mut m, n, false);
-        let r = measure_kernel(&mut out, platform, &mut m, &k, CacheProtocol::Cold);
-        table.push(k.name(), n, "W [flops]", k.flops(), r.work.get());
+        w_row(&mut out, &mut table, platform, n, Daxpy::new);
+        w_row(&mut out, &mut table, platform, n, Dsum::new);
+        w_row(&mut out, &mut table, platform, n, |m, n| {
+            Triad::new(m, n, false)
+        });
     }
-
     let gemv_n = fidelity.scale(512, 64);
-    let mut m = machine_by_name(platform);
-    let k = Dgemv::new(&mut m, gemv_n);
-    let r = measure_kernel(&mut out, platform, &mut m, &k, CacheProtocol::Cold);
-    table.push(k.name(), gemv_n, "W [flops]", k.flops(), r.work.get());
-
+    w_row(&mut out, &mut table, platform, gemv_n, Dgemv::new);
     let gemm_n = fidelity.scale(96, 24);
-    let mut m = machine_by_name(platform);
-    let k = DgemmBlocked::new(&mut m, gemm_n);
-    let r = measure_kernel(&mut out, platform, &mut m, &k, CacheProtocol::Cold);
-    table.push(k.name(), gemm_n, "W [flops]", k.flops(), r.work.get());
-
+    w_row(&mut out, &mut table, platform, gemm_n, DgemmBlocked::new);
     let fft_n = fidelity.scale(1 << 14, 1 << 8);
-    let mut m = machine_by_name(platform);
-    let k = Fft::new(&mut m, fft_n, true);
-    let r = measure_kernel(&mut out, platform, &mut m, &k, CacheProtocol::Cold);
-    table.push(k.name(), fft_n, "W [flops]", k.flops(), r.work.get());
-
-    let mut m = machine_by_name(platform);
-    let k = Wht::new(&mut m, fft_n, true);
-    let r = measure_kernel(&mut out, platform, &mut m, &k, CacheProtocol::Cold);
-    table.push(k.name(), fft_n, "W [flops]", k.flops(), r.work.get());
-
+    w_row(&mut out, &mut table, platform, fft_n, |m, n| {
+        Fft::new(m, n, true)
+    });
+    w_row(&mut out, &mut table, platform, fft_n, |m, n| {
+        Wht::new(m, n, true)
+    });
     // The blind spot: real work, zero counted flops.
     let mp_n = fidelity.scale(1 << 16, 1 << 10);
-    let mut m = machine_by_name(platform);
-    let k = MaxPool1d::new(&mut m, mp_n);
-    let r = measure_kernel(&mut out, platform, &mut m, &k, CacheProtocol::Cold);
-    table.push(k.name(), mp_n, "W [flops]", 0, r.work.get());
+    let maxpool = w_row(&mut out, &mut table, platform, mp_n, MaxPool1d::new);
 
     let all_pass = table.all_pass();
     out.finding("all W rows within tolerance", all_pass);
-    out.finding(
-        "maxpool true ops (invisible to PMU)",
-        {
-            let mut m = machine_by_name(platform);
-            MaxPool1d::new(&mut m, mp_n).true_ops()
-        },
-    );
+    out.finding("maxpool true ops (invisible to PMU)", maxpool.true_ops());
     out.tables.push(table.render());
     out
 }

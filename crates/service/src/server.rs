@@ -257,6 +257,9 @@ fn serve_connection(
     let mut reader = stream.try_clone()?;
     let mut writer = stream;
     let mut buf: Vec<u8> = Vec::new();
+    // How much of `buf` is known to hold no newline: each read is
+    // searched once, so framing a long line stays linear in its length.
+    let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     // Per-connection identity: anonymous until a successful `auth`.
     let mut session = Session::default();
@@ -264,7 +267,9 @@ fn serve_connection(
     // so dribbling one byte per poll cannot extend a connection's life.
     let mut idle_deadline = Instant::now() + cfg.read_timeout;
     loop {
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
+        while let Some(i) = buf[scanned..].iter().position(|&b| b == b'\n') {
+            let pos = scanned + i;
+            scanned = 0;
             let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
             let line = String::from_utf8_lossy(&line_bytes[..pos]);
             let line = line.trim();
@@ -290,6 +295,7 @@ fn serve_connection(
             }
             idle_deadline = Instant::now() + cfg.read_timeout;
         }
+        scanned = buf.len();
         if buf.len() > cfg.max_line_bytes {
             let env = error_envelope(
                 None,

@@ -16,6 +16,7 @@ use experiments::platforms::Fidelity;
 use experiments::registry::Experiment;
 use experiments::snapshot::{diff_trees, read_tree};
 use experiments::sweep::run_one;
+use roofline_core::json::{Envelope, Json};
 use roofline_service::cache::QUARANTINE_DIR;
 use roofline_service::client::{run_with_retries, Client, ClientError, RetryPolicy, RunOpts};
 use roofline_service::engine::{Engine, EngineConfig, Outcome, Request};
@@ -23,7 +24,7 @@ use roofline_service::faults::ServiceFaults;
 use roofline_service::server::{Server, ServerConfig};
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -299,6 +300,49 @@ fn oversized_line_is_refused_at_the_cap() {
         reply.contains("line-too-long"),
         "expected a line-too-long error envelope, got: {reply:?}"
     );
+
+    handle.trigger();
+    server.join().unwrap().expect("server");
+}
+
+/// One unauthenticated line holding a single JSON string just under the
+/// default 1 MiB cap is refused as a `bad-request` in well under the read
+/// timeout, and the connection keeps serving: the line is framed and
+/// decoded in time linear in its length.
+#[test]
+fn hostile_string_line_under_the_cap_is_refused_promptly() {
+    let cfg = ServerConfig::default();
+    let mut line = vec![b'x'; cfg.max_line_bytes - 16];
+    line[0] = b'"';
+    line.extend_from_slice(b"\"\n");
+    let engine = Engine::new(EngineConfig::default());
+    let server = Server::bind_with("127.0.0.1:0", engine, cfg).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.shutdown_handle();
+    let server = std::thread::spawn(move || server.serve());
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    stream.write_all(&line).expect("hostile line");
+    let mut reply = String::new();
+    reader
+        .read_line(&mut reply)
+        .expect("error envelope within 5 s");
+    let env = Envelope::parse_line(reply.trim()).expect("envelope");
+    assert_eq!(env.kind, "error", "{reply}");
+    let code = env.get("code").and_then(Json::as_str);
+    assert_eq!(code, Some("bad-request"), "{reply}");
+
+    stream
+        .write_all(b"{\"v\":1,\"kind\":\"ping\"}\n")
+        .expect("ping");
+    reply.clear();
+    reader.read_line(&mut reply).expect("pong");
+    let env = Envelope::parse_line(reply.trim()).expect("envelope");
+    assert_eq!(env.kind, "pong", "{reply}");
 
     handle.trigger();
     server.join().unwrap().expect("server");
